@@ -13,13 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .pgas import PgasWorld
+from .pgas import INT_SIZE, PgasWorld
 from .syncschemes import (SyncState, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
 
 BUF_OFFSET = 0
 ACK_OFFSET = 1 << 20
+
+
+def heap_footprint(nbytes: int) -> int:
+    """Heap bytes a plain broadcast measurement of `nbytes` addresses; a
+    negative size addresses none (and faults on the first broadcast)."""
+    return max(nbytes, 0)
+
+
+def sk_heap_footprint(nbytes: int) -> int:
+    """Heap bytes `measure_bcast_sk` addresses: the payload and the ack cell."""
+    return max(nbytes, ACK_OFFSET + INT_SIZE)
 
 
 class BcastAlgo(Enum):

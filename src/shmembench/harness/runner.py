@@ -8,15 +8,17 @@ import math
 import statistics
 from dataclasses import dataclass
 
+from .. import collbench, lockbench, p2pbench, syncschemes
 from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                          measure_bcast_naive, measure_bcast_rounds,
                          measure_bcast_sk, measure_bcast_sync)
 from ..lockbench import LockScenario, measure_lock
 from ..netmodel import ClockModel
-from ..p2pbench import (TimingStrategy, measure_blocking, measure_nonblocking,
-                        measure_quiet)
+from ..p2pbench import (DST_OFFSET, SRC_OFFSET, TimingStrategy,
+                        measure_blocking, measure_nonblocking, measure_quiet)
 from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
-                    BCAST_BINOMIAL, BCAST_LINEAR, PgasWorld)
+                    BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE,
+                    PgasWorld, idle)
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
 from .config import BenchConfig, MeasurementSpec
@@ -30,6 +32,21 @@ _STRATEGY = {"global_loop": TimingStrategy.GLOBAL_LOOP,
 _TOPOLOGY = {"binomial": BCAST_BINOMIAL, "linear": BCAST_LINEAR}
 _BARRIER = {"dissemination": BARRIER_DISSEMINATION,
             "reduce_bcast": BARRIER_REDUCE_BCAST}
+# Heap bytes per PE that a measurement type and its ground-truth run
+# address, as a function of nbytes; each module owns its own layout.
+_HEAP_FOOTPRINT = {
+    **dict.fromkeys(("blocking_get", "blocking_put", "quiet",
+                     "nbi_put_full", "nbi_put_post", "nbi_put_quiet",
+                     "nbi_put_overlap", "nbi_get_full", "nbi_get_post",
+                     "nbi_get_quiet", "nbi_get_overlap"),
+                    p2pbench.heap_footprint),
+    **dict.fromkeys(("bcast_naive", "bcast_barrier", "bcast_sync",
+                     "bcast_rounds"), collbench.heap_footprint),
+    "bcast_sk": collbench.sk_heap_footprint,
+    "barrier_time": syncschemes.heap_footprint,
+    **dict.fromkeys(("lock_uncontended", "lock_contended", "lock_test_held",
+                     "lock_test_free"), lockbench.heap_footprint),
+}
 
 
 @dataclass
@@ -73,13 +90,19 @@ def _derived_seed(seed: int, name: str, nbytes: int, rep: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _build_world(cfg: BenchConfig, spec: MeasurementSpec,
+def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
                  jitter_seed: int) -> PgasWorld:
+    """A world whose heap holds exactly what the measurement addresses.
+
+    Capped at the default size, so a measurement that would address past
+    the default heap faults or deadlocks exactly as it would on it."""
     npes = spec.npes if spec.npes is not None else cfg.npes
     clock = ClockModel(npes, drift_rate=cfg.drift, initial_offset=cfg.offset,
                        timer_overhead=cfg.timer_overhead,
                        jitter_seed=jitter_seed)
+    heap_size = min(_HEAP_FOOTPRINT[spec.type](nbytes), DEFAULT_HEAP_SIZE)
     return PgasWorld(npes, cfg.networks[spec.network], clock,
+                     heap_size=heap_size,
                      bcast_topology=_TOPOLOGY[spec.algo],
                      barrier_algo=_BARRIER[spec.barrier],
                      barrier_root=spec.barrier_root)
@@ -143,12 +166,13 @@ def _ground_truth(world: PgasWorld, spec: MeasurementSpec, nbytes: int) -> float
 
         def prog(pe):
             if pe.rank == 0:
-                box["op"] = yield from (pe.get(1, 0, nbytes, dst_offset=1 << 16)
-                                        if op == "get" else
-                                        pe.put(1, 1 << 16, nbytes, src_offset=0))
+                box["op"] = yield from (
+                    pe.get(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
+                    if op == "get" else
+                    pe.put(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))
                 yield from pe.quiet()
 
-        trace = w.run([prog] + [_idle] * (w.npes - 1))
+        trace = w.run([prog] + [idle] * (w.npes - 1))
         return trace.op_elapsed(box["op"])
     if kind in ("quiet", "nbi_put_full", "nbi_get_full",
                 "nbi_put_post", "nbi_get_post",
@@ -160,12 +184,12 @@ def _ground_truth(world: PgasWorld, spec: MeasurementSpec, nbytes: int) -> float
         def prog(pe):
             if pe.rank == 0:
                 box["op"] = yield from (
-                    pe.get_nbi(1, 0, n, dst_offset=1 << 16)
+                    pe.get_nbi(1, SRC_OFFSET, n, dst_offset=DST_OFFSET)
                     if kind.startswith("nbi_get") else
-                    pe.put_nbi(1, 1 << 16, n, src_offset=0))
+                    pe.put_nbi(1, DST_OFFSET, n, src_offset=SRC_OFFSET))
                 yield from pe.quiet()
 
-        trace = w.run([prog] + [_idle] * (w.npes - 1))
+        trace = w.run([prog] + [idle] * (w.npes - 1))
         ev = trace.op_events[box["op"]]
         if kind.endswith("_post"):
             return ev[LOCAL_COMPLETE] - ev[POST]
@@ -180,10 +204,6 @@ def _ground_truth(world: PgasWorld, spec: MeasurementSpec, nbytes: int) -> float
         net = world.net
         return 2 * (net.o_s + net.L + net.o_r)  # one home round trip
     return math.nan  # overlap and contention have no single true duration
-
-
-def _idle(pe):
-    return iter(())
 
 
 def _quiet_id(trace) -> str:
@@ -204,12 +224,12 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
                 jitter_seed = _derived_seed(base_seed, spec.name, nbytes,
                                             reps["n"])
                 reps["n"] += 1
-                world = _build_world(cfg, spec, jitter_seed)
+                world = _build_world(cfg, spec, nbytes, jitter_seed)
                 return _measure_once(world, spec, nbytes)
 
             mean, sigma, samples = run_until_stable(
                 thunk, cfg.sigma_threshold, cfg.max_reps)
-            truth_world = _build_world(cfg, spec,
+            truth_world = _build_world(cfg, spec, nbytes,
                                        _derived_seed(base_seed, spec.name,
                                                      nbytes, -1))
             truth = _ground_truth(truth_world, spec, nbytes)

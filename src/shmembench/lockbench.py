@@ -9,10 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pgas import PgasWorld
+from .pgas import INT_SIZE, PgasWorld
 
 LOCK_OFFSET = 0
 FLAG_OFFSET = 1 << 12
+
+
+def heap_footprint(nbytes: int) -> int:
+    """Heap bytes a lock measurement addresses on each PE; the lock and
+    flag cells do not depend on `nbytes`."""
+    return FLAG_OFFSET + INT_SIZE
 
 
 @dataclass

@@ -12,12 +12,19 @@ import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .pgas import PgasWorld
+from .pgas import PgasWorld, idle
 
 UNSTABLE_REL_SIGMA = 0.05
 DEFAULT_INNER_REPS = 64
 SRC_OFFSET = 0
 DST_OFFSET = 1 << 16
+
+
+def heap_footprint(nbytes: int) -> int:
+    """Heap bytes a P2P measurement of `nbytes` addresses on each PE.
+
+    The 1-byte floor covers the near-empty put that calibrates quiet."""
+    return DST_OFFSET + max(nbytes, 1)
 
 
 class TimingStrategy(Enum):
@@ -57,21 +64,16 @@ def _timed_loop(pe, body, iters, strategy):
     return (t2 - t1) / iters
 
 
-def _idle(pe):
-    return iter(())
-
-
-def _run_on_pe0(world: PgasWorld, frag) -> dict:
-    """Run `frag` on PE 0 of a fresh world, idle elsewhere; returns its record."""
+def _run_on_pe0(world: PgasWorld, frag):
+    """Run `frag` on PE 0 of a fresh world, idle elsewhere; returns its value."""
     w = world.fresh()
     out = {}
 
     def prog(pe):
         out["value"] = yield from frag(pe)
 
-    w.run([prog] + [_idle] * (w.npes - 1))
-    out["world"] = w
-    return out
+    w.run([prog] + [idle] * (w.npes - 1))
+    return out["value"]
 
 
 def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
@@ -90,7 +92,7 @@ def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
                 yield from pe.get(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
             return (yield from _timed_loop(pe, body, iters, strategy))
 
-        mean = _run_on_pe0(world, frag)["value"]
+        mean = _run_on_pe0(world, frag)
         return P2PResult(mean, iters, strategy, nbytes)
 
     # the calibration is a pilot; always time it with the accurate strategy
@@ -102,7 +104,7 @@ def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
             yield from pe.quiet()
         return (yield from _timed_loop(pe, body, iters, strategy))
 
-    raw = _run_on_pe0(world, frag)["value"]
+    raw = _run_on_pe0(world, frag)
     mean = raw - quiet_cal.mean
     flags = []
     if mean < 0:
@@ -123,7 +125,7 @@ def measure_quiet(world: PgasWorld, iters: int = DEFAULT_INNER_REPS,
             yield from pe.quiet()
         return (yield from _timed_loop(pe, body, iters, strategy))
 
-    mean = _run_on_pe0(world, frag)["value"]
+    mean = _run_on_pe0(world, frag)
     return P2PResult(mean, iters, strategy, 1)
 
 
@@ -157,7 +159,7 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
                 yield from pe.quiet()
             return (yield from _timed_loop(pe, body, iters, strategy))
 
-        mean = _run_on_pe0(world, frag)["value"]
+        mean = _run_on_pe0(world, frag)
         return P2PResult(mean, iters, strategy, nbytes)
 
     if variant == "post":
@@ -168,7 +170,7 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
             yield from pe.quiet()  # drain outside the timed region
             return m
 
-        mean = _run_on_pe0(world, frag)["value"]
+        mean = _run_on_pe0(world, frag)
         return P2PResult(mean, iters, strategy, nbytes)
 
     if variant == "quiet":
@@ -199,7 +201,7 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
             yield from pe.quiet()
         return (yield from _timed_loop(pe, body, iters, strategy))
 
-    loop_mean = _run_on_pe0(world, frag)["value"]
+    loop_mean = _run_on_pe0(world, frag)
     wait_mean = sum(waited.values()) / iters
     active = loop_mean - wait_mean
     if active < 0:
@@ -233,5 +235,5 @@ def calibrate_busy_wait(world: PgasWorld, units: int = 1_000_000) -> float:
         t2 = yield from pe.stamp_end()
         out["rate"] = units / (t2 - t1)
 
-    w.run([prog] + [_idle] * (w.npes - 1))
+    w.run([prog] + [idle] * (w.npes - 1))
     return out["rate"]

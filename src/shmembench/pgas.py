@@ -59,6 +59,7 @@ _CMP = {
 
 _INT = struct.Struct("<q")
 INT_SIZE = _INT.size
+DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
 
 BCAST_LINEAR = "linear"
 BCAST_BINOMIAL = "binomial"
@@ -574,7 +575,7 @@ class PgasWorld:
     """The simulated machine: PEs, symmetric heap, NIC queues, trace."""
 
     def __init__(self, npes: int, net: NetworkModel, clock: ClockModel | None = None,
-                 heap_size: int = 1 << 21,
+                 heap_size: int = DEFAULT_HEAP_SIZE,
                  bcast_topology: str = BCAST_BINOMIAL,
                  barrier_algo: str = BARRIER_DISSEMINATION,
                  barrier_root: int = 0,
@@ -786,6 +787,11 @@ class PgasWorld:
 
     def _trace(self, kind: str, pe: int, op_id: str):
         self.trace.record(self.now, pe, kind, op_id)
+
+
+def idle(pe: Pe):
+    """A PE program that does nothing."""
+    return iter(())
 
 
 def run_simulation(world: PgasWorld, programs) -> GroundTruthTrace:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .pgas import PgasWorld
 
 OFFSET_PROBE_REPS = 16
-SCRATCH_OFFSET = 0  # heap cell used by the probe exchanges
 
 
 @dataclass
@@ -80,6 +79,12 @@ def stop_synchronization(pe, state: SyncState, i: int):
     """Post-operation stamp; the next measurement uses slot i+1."""
     t2 = yield from pe.stamp_end()
     return t2
+
+
+def heap_footprint(nbytes: int) -> int:
+    """Heap bytes a barrier measurement addresses: none, since no scheme
+    here touches the symmetric heap."""
+    return 0
 
 
 def measure_barrier_time(world: PgasWorld, iters: int = 100) -> float:

@@ -5,10 +5,13 @@ import math
 
 import pytest
 
-from shmembench.harness import (ConfigError, ResultRow, emit_results,
-                                ground_truth_report, parse_config,
-                                parse_duration, run_config, run_until_stable)
+from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
+                                emit_results, ground_truth_report,
+                                parse_config, parse_duration, run_config,
+                                run_until_stable)
+from shmembench.harness import runner
 from shmembench.harness.cli import main as cli_main
+from shmembench.pgas import DEFAULT_HEAP_SIZE
 
 BASE_CONFIG = """
 [network.intra]
@@ -170,6 +173,52 @@ class TestRunner:
             ("get_sweep", 8), ("get_sweep", 1024)]
         for r in rows:
             assert r.relative_error < 1e-12
+
+
+PARITY_SIZES = (8, 65536, 1 << 20)
+# Every measurement type at 4 PEs on a jittered wire, so repetitions differ;
+# non-sweeping types ignore their nbytes.
+PARITY_CONFIG = """
+[network.jittered]
+o_s = 100ns
+o_r = 100ns
+L = 1us
+g = 100ns
+G = 1ns
+jitter = 200ns
+
+[run]
+npes = 4
+seed = 11
+max_reps = 2
+""" + "".join(f"""
+[measurement.{kind}]
+type = {kind}
+nbytes = {", ".join(map(str, PARITY_SIZES))}
+iters = 4
+M = 2
+""" for kind in sorted(MEASUREMENT_TYPES))
+
+
+class TestHeapSizing:
+    def test_sized_heaps_give_byte_identical_results(self, monkeypatch):
+        cfg = parse_config(PARITY_CONFIG)
+        for spec in cfg.measurements:
+            for n in spec.nbytes:
+                # below the cap, so the sized heap really is smaller
+                assert runner._HEAP_FOOTPRINT[spec.type](n) <= DEFAULT_HEAP_SIZE
+        sized = run_config(cfg)
+        monkeypatch.setattr(runner, "_HEAP_FOOTPRINT", dict.fromkeys(
+            runner._HEAP_FOOTPRINT, lambda nbytes: DEFAULT_HEAP_SIZE))
+        full = run_config(cfg)
+        assert emit_results(sized) == emit_results(full)
+        assert ground_truth_report(sized) == ground_truth_report(full)
+
+    def test_small_get_world_is_far_below_default_heap(self):
+        cfg = parse_config(BASE_CONFIG)
+        (spec,) = cfg.measurements
+        world = runner._build_world(cfg, spec, 8, jitter_seed=0)
+        assert world.heap_size * 16 <= DEFAULT_HEAP_SIZE
 
 
 class TestCli:
