@@ -23,9 +23,8 @@ ACK_OFFSET = 1 << 20
 
 
 def heap_footprint(nbytes: int) -> int:
-    """Heap bytes a plain broadcast measurement of `nbytes` addresses; a
-    negative size addresses none (and faults on the first broadcast)."""
-    return max(nbytes, 0)
+    """Heap bytes a plain broadcast measurement of `nbytes` addresses."""
+    return nbytes
 
 
 def sk_heap_footprint(nbytes: int) -> int:

@@ -34,6 +34,12 @@ MEASUREMENT_TYPES = frozenset({
     "lock_uncontended", "lock_contended", "lock_test_held", "lock_test_free",
 })
 
+# Types whose measurement addresses PE 1 from PE 0, so they need two PEs.
+_NEEDS_PEER = frozenset(
+    kind for kind in MEASUREMENT_TYPES
+    if kind in ("blocking_get", "blocking_put", "quiet")
+    or kind.startswith("nbi_"))
+
 _STRATEGIES = ("global_loop", "per_iteration")
 _TOPOLOGIES = ("binomial", "linear")
 _BARRIERS = ("dissemination", "reduce_bcast")
@@ -177,7 +183,21 @@ def parse_config(text: str) -> BenchConfig:
         if spec.network not in networks:
             raise ConfigError(
                 f"measurement.{spec.name}: unknown network {spec.network!r}")
+        _check_pes(spec, spec.npes if spec.npes is not None else cfg.npes)
     return cfg
+
+
+def _check_pes(spec: MeasurementSpec, npes: int) -> None:
+    """Reject a P2P type without a peer and lock ranks past `npes`."""
+    where = f"measurement.{spec.name}"
+    if spec.type in _NEEDS_PEER and npes < 2:
+        raise ConfigError(f"{where}: {spec.type} needs npes >= 2, got {npes}")
+    if spec.type.startswith("lock_"):
+        for key in ("home_pe", "requester_pe"):
+            rank = getattr(spec, key)
+            if not 0 <= rank < npes:
+                raise ConfigError(
+                    f"{where}: {key} = {rank} is not a PE of npes = {npes}")
 
 
 def _pop(keys, name, default=None):
@@ -260,6 +280,8 @@ def _parse_measurement(name: str, keys) -> MeasurementSpec:
         sweep = [_int(p.strip(), lineno) for p in value.split(",")]
         if not sweep or sorted(sweep) != sweep or len(set(sweep)) != len(sweep):
             raise ConfigError("nbytes sweep must be ascending", lineno)
+        if sweep[0] < 0:
+            raise ConfigError(f"nbytes must be >= 0, got {sweep[0]}", lineno)
         spec.nbytes = sweep
     lineno, value = _pop(keys, "iters")
     if value is not None:

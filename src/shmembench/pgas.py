@@ -209,7 +209,7 @@ class Pe:
         w._pending[self.rank][op.op_id] = op  # quiet fences blocking puts too
         w._trace(tr.POST, self.rank, op.op_id)
         yield _Advance(net.o_s + net.G * nbytes)
-        data = bytes(w.heap[self.rank][src:src + nbytes])
+        data = w.heap[self.rank][src:src + nbytes]
         rank = self.rank
 
         def deliver():
@@ -237,7 +237,7 @@ class Pe:
         rank = self.rank
 
         def serve():
-            data = bytes(w.heap[target][offset:offset + nbytes])
+            data = w.heap[target][offset:offset + nbytes]
 
             def deliver():
                 w.heap[rank][dst:dst + nbytes] = data
@@ -265,8 +265,8 @@ class Pe:
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         rank = self.rank
 
-        def launch(start_now: bool):
-            data = bytes(w.heap[rank][src:src + nbytes])
+        def launch():
+            data = w.heap[rank][src:src + nbytes]
 
             def deliver():
                 w.heap[target][offset:offset + nbytes] = data
@@ -278,7 +278,7 @@ class Pe:
             w._inject(rank, w.now, nbytes, deliver)
 
         if net.progress_mode is ProgressMode.BACKGROUND:
-            launch(True)
+            launch()
         else:
             op.deferred = launch
         return op.op_id
@@ -295,9 +295,9 @@ class Pe:
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         rank = self.rank
 
-        def launch(start_now: bool):
+        def launch():
             def serve():
-                data = bytes(w.heap[target][offset:offset + nbytes])
+                data = w.heap[target][offset:offset + nbytes]
 
                 def deliver():
                     w.heap[rank][dst:dst + nbytes] = data
@@ -311,7 +311,7 @@ class Pe:
             w._inject(rank, w.now, 0, serve)
 
         if net.progress_mode is ProgressMode.BACKGROUND:
-            launch(True)
+            launch()
         else:
             op.deferred = launch
         return op.op_id
@@ -326,7 +326,7 @@ class Pe:
         for op in pending:
             if op.deferred is not None:
                 launch, op.deferred = op.deferred, None
-                launch(True)
+                launch()
         for op in pending:
             if not op.delivered:
                 yield _Wait(op.done, f"quiet on {op.op_id}")
@@ -456,7 +456,7 @@ class Pe:
     def _send_payload(self, dst: int, key, offset: int, nbytes: int) -> float:
         """Charge the sender and inject one data message; returns departure."""
         w, net = self.world, self.world.net
-        data = bytes(w.heap[self.rank][offset:offset + nbytes])
+        data = w.heap[self.rank][offset:offset + nbytes]
 
         def deliver():
             w.heap[dst][offset:offset + nbytes] = data

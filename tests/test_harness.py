@@ -86,6 +86,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="network preset required"):
             parse_config(text)
 
+    def test_pe_ranks_checked_against_measurement_npes(self):
+        lock = "\n[measurement.lk]\ntype = lock_uncontended\nhome_pe = 3\n"
+        parse_config(BASE_CONFIG + lock)  # run npes = 4
+        with pytest.raises(ConfigError, match="home_pe = 3 is not a PE"):
+            parse_config(BASE_CONFIG + lock + "npes = 2\n")
+
+    def test_peer_check_uses_measurement_npes(self):
+        text = BASE_CONFIG.replace("npes = 4", "npes = 1")
+        with pytest.raises(ConfigError, match="needs npes >= 2"):
+            parse_config(text)
+        parse_config(text + "npes = 2\n")  # per-measurement override
+
 
 class TestRunUntilStable:
     def test_deterministic_thunk_stops_at_two(self):
@@ -248,6 +260,24 @@ class TestCli:
         path = tmp_path / "broken.conf"
         path.write_text("[run]\nnpes = maybe\n")
         assert cli_main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("npes,section,message", [
+        (2, "type = bcast_naive\nnbytes = -8\n",
+         "line 9: nbytes must be >= 0, got -8"),
+        (2, "type = lock_uncontended\nrequester_pe = 5\n",
+         "measurement.m: requester_pe = 5 is not a PE of npes = 2"),
+        (1, "type = blocking_get\n",
+         "measurement.m: blocking_get needs npes >= 2, got 1"),
+    ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer"])
+    def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
+                                                   npes, section, message):
+        path = tmp_path / "unrunnable.conf"
+        path.write_text("[network.n]\nL = 1us\n\n[run]\n"
+                        f"npes = {npes}\n\n[measurement.m]\n" + section)
+        assert cli_main(["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_config_exit_code(self, capsys):
         assert cli_main([]) == 2

@@ -331,3 +331,38 @@ class TestTrace:
         world = PgasWorld(1, NET)
         trace = run_simulation(world, [lambda pe: iter(())])
         assert trace is world.trace
+
+
+class TestDataPath:
+    def test_put_payload_is_taken_at_send_time(self):
+        out = {}
+
+        def prog(pe):
+            pe.write_bytes(0, b"old-data")
+            out["op"] = yield from pe.put(1, 64, 8, src_offset=0)
+            out["ret"] = pe.world.now
+            pe.write_bytes(0, b"new-data")
+
+        world, trace = run2(NET, prog)
+        # local-completion return: the source is reusable before delivery
+        assert out["ret"] < trace.op_events[out["op"]][REMOTE_DELIVERED]
+        assert world.pe(1).read_bytes(64, 8) == b"old-data"
+
+    def test_broadcast_payload_is_taken_at_send_time(self):
+        out = {}
+
+        def prog(pe):
+            if pe.rank == 0:
+                pe.write_bytes(128, b"payload!")
+            yield from pe.broadcast(0, 128, 8)
+            if pe.rank == 0:
+                out["ret"] = pe.world.now
+                pe.write_bytes(128, b"mutated!")
+            else:
+                out[pe.rank] = pe.read_bytes(128, 8)
+
+        world = PgasWorld(4, NET)
+        trace = world.run([prog] * 4)
+        assert out["ret"] < max(trace.bcast_instances[0]["exit"].values())
+        assert [out[r] for r in (1, 2, 3)] == [b"payload!"] * 3
+
