@@ -9,8 +9,7 @@ from .netmodel import (ClockModel, NetworkModel, ProgressMode,
                        PutReturnPolicy)
 from .pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
                    BCAST_BINOMIAL, BCAST_LINEAR, CollectiveMismatchError,
-                   DeadlockError, HeapFault, LockError, Pe, PgasWorld,
-                   run_simulation)
+                   DeadlockError, HeapFault, LockError, Pe, PgasWorld)
 from .trace import GroundTruthTrace, TraceEvent
 from .syncschemes import (SyncState, estimate_offsets, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
@@ -25,7 +24,7 @@ from .lockbench import LockResult, LockScenario, measure_lock
 
 __all__ = [
     "ClockModel", "NetworkModel", "ProgressMode", "PutReturnPolicy",
-    "PgasWorld", "Pe", "run_simulation", "GroundTruthTrace", "TraceEvent",
+    "PgasWorld", "Pe", "GroundTruthTrace", "TraceEvent",
     "DeadlockError", "HeapFault", "CollectiveMismatchError", "LockError",
     "BCAST_LINEAR", "BCAST_BINOMIAL",
     "BARRIER_DISSEMINATION", "BARRIER_REDUCE_BCAST",

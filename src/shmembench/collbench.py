@@ -49,6 +49,7 @@ class BcastMeasurement:
     per_task: dict[int, float] = field(default_factory=dict)
     discarded: int = 0
     flags: list[str] = field(default_factory=list)
+    world: PgasWorld | None = None  # the run, kept for trace-based checks
 
 
 def ground_truth_bcast_span(world: PgasWorld, nbytes: int, root: int = 0) -> float:
@@ -120,6 +121,16 @@ def _pilot_window(world: PgasWorld, nbytes: int) -> float:
     return 10.0 * max(pilot.result, 1e-9)
 
 
+def _aligned_start(pe, state: SyncState, probe_reps: int):
+    """Estimate clock offsets, let PE 0 schedule the first slot comfortably
+    after the alignment barrier, then align all PEs in that barrier."""
+    yield from offset_probe_fragment(pe, state, probe_reps)
+    if pe.rank == 0:
+        now_local = yield from pe.read_timer()
+        state.slot0 = now_local + state.window_len + 1e-3
+    yield from pe.barrier()
+
+
 def measure_bcast_sync(world: PgasWorld, nbytes: int, iters: int = 32,
                        window_len: float | None = None,
                        probe_reps: int = 16) -> BcastMeasurement:
@@ -133,12 +144,7 @@ def measure_bcast_sync(world: PgasWorld, nbytes: int, iters: int = 32,
     overruns: dict[int, list] = {pe: [] for pe in range(w.npes)}
 
     def prog(pe):
-        yield from offset_probe_fragment(pe, state, probe_reps)
-        if pe.rank == 0:
-            # schedule the first slot comfortably after the alignment barrier
-            now_local = yield from pe.read_timer()
-            state.slot0 = now_local + window_len + 1e-3
-        yield from pe.barrier()
+        yield from _aligned_start(pe, state, probe_reps)
         for i in range(iters):
             t1, over = yield from start_synchronization(pe, state, i)
             yield from pe.broadcast(0, BUF_OFFSET, nbytes)
@@ -175,11 +181,7 @@ def measure_bcast_rounds(world: PgasWorld, nbytes: int,
     t2s: dict[int, float] = {}
 
     def prog(pe):
-        yield from offset_probe_fragment(pe, state, probe_reps)
-        if pe.rank == 0:
-            now_local = yield from pe.read_timer()
-            state.slot0 = now_local + window_len + 1e-3
-        yield from pe.barrier()
+        yield from _aligned_start(pe, state, probe_reps)
         t1, _ = yield from start_synchronization(pe, state, 0)
         for root in range(w.npes):
             yield from pe.broadcast(root, BUF_OFFSET, nbytes)
@@ -190,6 +192,19 @@ def measure_bcast_rounds(world: PgasWorld, nbytes: int,
     w.run([prog] * w.npes)
     result = max(t2s[pe] - t1s[pe] for pe in range(w.npes)) / w.npes
     return BcastMeasurement(BcastAlgo.ROUNDS, nbytes, w.npes, result)
+
+
+def _ack_round_trip(pe, root: int, task: int):
+    """One acknowledgment round trip: root bumps task's ack cell, task bumps
+    root's back, and each clears its own; other PEs take no part."""
+    if pe.rank == root:
+        yield from pe.fetch_inc(task, ACK_OFFSET)
+        yield from pe.wait_until(ACK_OFFSET, "eq", 1)
+        pe.store_int(ACK_OFFSET, 0)
+    elif pe.rank == task:
+        yield from pe.wait_until(ACK_OFFSET, "eq", 1)
+        pe.store_int(ACK_OFFSET, 0)
+        yield from pe.fetch_inc(root, ACK_OFFSET)
 
 
 def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
@@ -221,26 +236,12 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
             if rank in (root, task):
                 t1 = yield from pe.stamp_begin()
                 for _ in range(rt1_reps):
-                    if rank == root:
-                        yield from pe.fetch_inc(task, ACK_OFFSET)
-                        yield from pe.wait_until(ACK_OFFSET, "eq", 1)
-                        pe.store_int(ACK_OFFSET, 0)
-                    else:
-                        yield from pe.wait_until(ACK_OFFSET, "eq", 1)
-                        pe.store_int(ACK_OFFSET, 0)
-                        yield from pe.fetch_inc(root, ACK_OFFSET)
+                    yield from _ack_round_trip(pe, root, task)
                 t2 = yield from pe.stamp_end()
                 rt1 = (t2 - t1) / rt1_reps
             # warm-up: one acknowledged broadcast
             yield from pe.broadcast(root, BUF_OFFSET, nbytes)
-            if rank == root:
-                yield from pe.fetch_inc(task, ACK_OFFSET)
-                yield from pe.wait_until(ACK_OFFSET, "eq", 1)
-                pe.store_int(ACK_OFFSET, 0)
-            elif rank == task:
-                yield from pe.wait_until(ACK_OFFSET, "eq", 1)
-                pe.store_int(ACK_OFFSET, 0)
-                yield from pe.fetch_inc(root, ACK_OFFSET)
+            yield from _ack_round_trip(pe, root, task)
             # measure M acknowledged broadcasts
             t1 = yield from pe.stamp_begin()
             for _ in range(M):
@@ -265,7 +266,5 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
             flags.append("unstable")
     else:
         result = 0.0  # P == 1: no tasks to sweep
-    meas = BcastMeasurement(BcastAlgo.SK, nbytes, M, result,
-                            per_task=per_task, flags=flags)
-    meas.world = w  # keep the run for trace-based property checks
-    return meas
+    return BcastMeasurement(BcastAlgo.SK, nbytes, M, result,
+                            per_task=per_task, flags=flags, world=w)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..netmodel import NetworkModel, ProgressMode, PutReturnPolicy
+from .runner import MEASUREMENT_TYPES
 
 
 class ConfigError(ValueError):
@@ -24,21 +25,6 @@ _PROGRESS = {"background": ProgressMode.BACKGROUND,
              "on_quiet": ProgressMode.ON_QUIET}
 _PUT_RETURN = {"local": PutReturnPolicy.LOCAL_COMPLETION,
                "remote": PutReturnPolicy.REMOTE_COMPLETION}
-
-MEASUREMENT_TYPES = frozenset({
-    "blocking_get", "blocking_put", "quiet",
-    "nbi_put_full", "nbi_put_post", "nbi_put_quiet", "nbi_put_overlap",
-    "nbi_get_full", "nbi_get_post", "nbi_get_quiet", "nbi_get_overlap",
-    "bcast_naive", "bcast_barrier", "bcast_sync", "bcast_rounds", "bcast_sk",
-    "barrier_time",
-    "lock_uncontended", "lock_contended", "lock_test_held", "lock_test_free",
-})
-
-# Types whose measurement addresses PE 1 from PE 0, so they need two PEs.
-_NEEDS_PEER = frozenset(
-    kind for kind in MEASUREMENT_TYPES
-    if kind in ("blocking_get", "blocking_put", "quiet")
-    or kind.startswith("nbi_"))
 
 _STRATEGIES = ("global_loop", "per_iteration")
 _TOPOLOGIES = ("binomial", "linear")
@@ -188,16 +174,15 @@ def parse_config(text: str) -> BenchConfig:
 
 
 def _check_pes(spec: MeasurementSpec, npes: int) -> None:
-    """Reject a P2P type without a peer and lock ranks past `npes`."""
+    """Reject a spec its type cannot run in `npes` PEs."""
     where = f"measurement.{spec.name}"
-    if spec.type in _NEEDS_PEER and npes < 2:
-        raise ConfigError(f"{where}: {spec.type} needs npes >= 2, got {npes}")
-    if spec.type.startswith("lock_"):
-        for key in ("home_pe", "requester_pe"):
-            rank = getattr(spec, key)
-            if not 0 <= rank < npes:
-                raise ConfigError(
-                    f"{where}: {key} = {rank} is not a PE of npes = {npes}")
+    mtype = MEASUREMENT_TYPES[spec.type]
+    if npes < mtype.min_npes:
+        raise ConfigError(
+            f"{where}: {spec.type} needs npes >= {mtype.min_npes}, got {npes}")
+    problem = mtype.check(spec, npes)
+    if problem:
+        raise ConfigError(f"{where}: {problem}")
 
 
 def _pop(keys, name, default=None):
@@ -286,6 +271,8 @@ def _parse_measurement(name: str, keys) -> MeasurementSpec:
     lineno, value = _pop(keys, "iters")
     if value is not None:
         spec.iters = _int(value, lineno)
+        if spec.iters < 1:
+            raise ConfigError(f"iters must be >= 1, got {spec.iters}", lineno)
     lineno, value = _pop(keys, "strategy")
     if value is not None:
         spec.strategy = _enum(value, _STRATEGIES, lineno)

@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from .. import collbench, lockbench, p2pbench, syncschemes
 from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
@@ -17,35 +18,161 @@ from ..netmodel import ClockModel
 from ..p2pbench import (DST_OFFSET, SRC_OFFSET, TimingStrategy,
                         measure_blocking, measure_nonblocking, measure_quiet)
 from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
-                    BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE,
-                    PgasWorld, idle)
+                    DEFAULT_HEAP_SIZE, PgasWorld, idle)
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
-from .config import BenchConfig, MeasurementSpec
+
+if TYPE_CHECKING:
+    from .config import BenchConfig, MeasurementSpec
 
 CSV_FIELDS = ("name", "nbytes", "algo", "mean", "stddev", "samples",
               "ground_truth", "relative_error")
 EPSILON = 1e-15
 
-_STRATEGY = {"global_loop": TimingStrategy.GLOBAL_LOOP,
-             "per_iteration": TimingStrategy.PER_ITERATION}
-_TOPOLOGY = {"binomial": BCAST_BINOMIAL, "linear": BCAST_LINEAR}
 _BARRIER = {"dissemination": BARRIER_DISSEMINATION,
             "reduce_bcast": BARRIER_REDUCE_BCAST}
-# Heap bytes per PE that a measurement type and its ground-truth run
-# address, as a function of nbytes; each module owns its own layout.
-_HEAP_FOOTPRINT = {
-    **dict.fromkeys(("blocking_get", "blocking_put", "quiet",
-                     "nbi_put_full", "nbi_put_post", "nbi_put_quiet",
-                     "nbi_put_overlap", "nbi_get_full", "nbi_get_post",
-                     "nbi_get_quiet", "nbi_get_overlap"),
-                    p2pbench.heap_footprint),
-    **dict.fromkeys(("bcast_naive", "bcast_barrier", "bcast_sync",
-                     "bcast_rounds"), collbench.heap_footprint),
-    "bcast_sk": collbench.sk_heap_footprint,
-    "barrier_time": syncschemes.heap_footprint,
-    **dict.fromkeys(("lock_uncontended", "lock_contended", "lock_test_held",
-                     "lock_test_free"), lockbench.heap_footprint),
+
+
+@dataclass(frozen=True)
+class MeasurementType:
+    """How the harness runs, sizes and checks one measurement type.
+
+    `run` measures once; `truth` is the reference from an isolated traced
+    run, or NaN. Both take (world, spec, nbytes) and must reach measurement
+    functions through module names at call time, so a tracer that rebinds
+    those names sees every call. `footprint(nbytes)` is the heap bytes per
+    PE they address; it is stored as is, since sizing a heap is not a
+    measurement call. A type that does not sweep bytes runs once, at nbytes
+    0. `check(spec, npes)` says why the spec's PE ranks cannot run, if so.
+    """
+    run: Callable[[PgasWorld, MeasurementSpec, int], float]
+    truth: Callable[[PgasWorld, MeasurementSpec, int], float]
+    footprint: Callable[[int], int]
+    sweeps_bytes: bool = True
+    min_npes: int = 1
+    check: Callable[[MeasurementSpec, int], str | None] = (
+        lambda spec, npes: None)
+
+
+def _no_truth(world, spec, nbytes):
+    return math.nan  # overlap and contention have no single true duration
+
+
+def _p2p_span(world, op, nbytes, part):
+    """True time of one `op` from PE 0 to PE 1, then a quiet, in a fresh
+    world: from post to delivery (elapsed), to the quiet's return (full) or
+    to local completion (post), or what the quiet adds to that (quiet)."""
+    w = world.fresh()
+    ids = []
+
+    def prog(pe):
+        if pe.rank == 0:
+            issue = getattr(pe, op)
+            ids.append((yield from (
+                issue(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
+                if op.startswith("get") else
+                issue(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))))
+            ids.append((yield from pe.quiet()))
+
+    trace = w.run([prog] + [idle] * (w.npes - 1))
+    op_id, quiet_id = ids
+    if part == "elapsed":
+        return trace.op_elapsed(op_id)
+    ev = trace.op_events[op_id]
+    full = trace.quiet_spans[quiet_id][1] - ev[POST]
+    post = ev[LOCAL_COMPLETE] - ev[POST]
+    return {"full": full, "post": post, "quiet": full - post}[part]
+
+
+def _p2p(measure, truth, sweeps_bytes=True):
+    """`measure(world, spec, nbytes, strategy)` returns a P2PResult."""
+    return MeasurementType(
+        lambda w, s, n: measure(w, s, n, TimingStrategy(s.strategy)).mean,
+        truth, p2pbench.heap_footprint, sweeps_bytes, min_npes=2)
+
+
+def _nbi(op, variant):
+    truth = (_no_truth if variant == "overlap" else
+             lambda w, s, n: _p2p_span(w, op + "_nbi", n, variant))
+    return _p2p(lambda w, s, n, st: measure_nonblocking(
+        w, op, variant, n, s.iters, st), truth)
+
+
+def _bcast(measure, footprint=collbench.heap_footprint):
+    """`measure(world, spec, nbytes)` returns a BcastMeasurement."""
+    return MeasurementType(lambda w, s, n: measure(w, s, n).result,
+                           lambda w, s, n: ground_truth_bcast_span(w, n),
+                           footprint)
+
+
+def _barrier_span(world, spec, nbytes):
+    w = world.fresh()
+
+    def prog(pe):
+        yield from pe.barrier()
+
+    return w.run([prog] * w.npes).barrier_span(0)
+
+
+def _lock(mode, round_trips=None):
+    """A lock scenario whose reference, if any, is `round_trips` round
+    trips to the home PE."""
+    def run(world, spec, nbytes):
+        scenario = LockScenario(mode, home_pe=spec.home_pe,
+                                requester_pe=spec.requester_pe)
+        return measure_lock(world, scenario, spec.iters).mean
+
+    def check(spec, npes):
+        for key in ("home_pe", "requester_pe"):
+            rank = getattr(spec, key)
+            if not 0 <= rank < npes:
+                return f"{key} = {rank} is not a PE of npes = {npes}"
+        # the home PE holds the lock; held by the requester, it tests free
+        if mode == "test_held" and spec.home_pe == spec.requester_pe:
+            return ("lock_test_held needs home_pe != requester_pe, "
+                    f"got {spec.home_pe} for both")
+        return None
+
+    truth = (_no_truth if round_trips is None else lambda w, s, n:
+             round_trips * (w.net.o_s + w.net.L + w.net.o_r))
+    return MeasurementType(run, truth, lockbench.heap_footprint,
+                           sweeps_bytes=False, check=check)
+
+
+MEASUREMENT_TYPES: dict[str, MeasurementType] = {
+    "blocking_get": _p2p(
+        lambda w, s, n, st: measure_blocking(w, "get", n, s.iters, st),
+        lambda w, s, n: _p2p_span(w, "get", n, "elapsed")),
+    "blocking_put": _p2p(
+        lambda w, s, n, st: measure_blocking(w, "put", n, s.iters, st),
+        lambda w, s, n: _p2p_span(w, "put", n, "elapsed")),
+    "quiet": _p2p(lambda w, s, n, st: measure_quiet(w, s.iters, st),
+                  lambda w, s, n: _p2p_span(w, "put_nbi", 1, "full"),
+                  sweeps_bytes=False),
+    "nbi_put_full": _nbi("put", "full"),
+    "nbi_put_post": _nbi("put", "post"),
+    "nbi_put_quiet": _nbi("put", "quiet"),
+    "nbi_put_overlap": _nbi("put", "overlap"),
+    "nbi_get_full": _nbi("get", "full"),
+    "nbi_get_post": _nbi("get", "post"),
+    "nbi_get_quiet": _nbi("get", "quiet"),
+    "nbi_get_overlap": _nbi("get", "overlap"),
+    "bcast_naive": _bcast(lambda w, s, n: measure_bcast_naive(w, n, s.iters)),
+    "bcast_barrier": _bcast(
+        lambda w, s, n: measure_bcast_barrier(w, n, s.iters)),
+    "bcast_sync": _bcast(lambda w, s, n: measure_bcast_sync(
+        w, n, s.iters, window_len=s.window_len)),
+    "bcast_rounds": _bcast(lambda w, s, n: measure_bcast_rounds(
+        w, n, window_len=s.window_len)),
+    "bcast_sk": _bcast(lambda w, s, n: measure_bcast_sk(w, n, M=s.M),
+                       collbench.sk_heap_footprint),
+    "barrier_time": MeasurementType(
+        lambda w, s, n: measure_barrier_time(w, s.iters), _barrier_span,
+        syncschemes.heap_footprint, sweeps_bytes=False),
+    "lock_uncontended": _lock("uncontended_set_clear", 4),
+    "lock_contended": _lock("contended_set"),
+    "lock_test_held": _lock("test_held", 2),
+    "lock_test_free": _lock("test_free", 2),
 }
 
 
@@ -100,123 +227,21 @@ def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
     clock = ClockModel(npes, drift_rate=cfg.drift, initial_offset=cfg.offset,
                        timer_overhead=cfg.timer_overhead,
                        jitter_seed=jitter_seed)
-    heap_size = min(_HEAP_FOOTPRINT[spec.type](nbytes), DEFAULT_HEAP_SIZE)
+    heap_size = min(MEASUREMENT_TYPES[spec.type].footprint(nbytes),
+                    DEFAULT_HEAP_SIZE)
     return PgasWorld(npes, cfg.networks[spec.network], clock,
                      heap_size=heap_size,
-                     bcast_topology=_TOPOLOGY[spec.algo],
+                     bcast_topology=spec.algo,
                      barrier_algo=_BARRIER[spec.barrier],
                      barrier_root=spec.barrier_root)
-
-
-def _measure_once(world: PgasWorld, spec: MeasurementSpec, nbytes: int) -> float:
-    kind = spec.type
-    strategy = _STRATEGY[spec.strategy]
-    if kind == "blocking_get":
-        return measure_blocking(world, "get", nbytes, spec.iters, strategy).mean
-    if kind == "blocking_put":
-        return measure_blocking(world, "put", nbytes, spec.iters, strategy).mean
-    if kind == "quiet":
-        return measure_quiet(world, spec.iters, strategy).mean
-    if kind.startswith("nbi_"):
-        _, op, variant = kind.split("_")
-        return measure_nonblocking(world, op, variant, nbytes,
-                                   spec.iters, strategy).mean
-    if kind == "bcast_naive":
-        return measure_bcast_naive(world, nbytes, spec.iters).result
-    if kind == "bcast_barrier":
-        return measure_bcast_barrier(world, nbytes, spec.iters).result
-    if kind == "bcast_sync":
-        return measure_bcast_sync(world, nbytes, spec.iters,
-                                  window_len=spec.window_len).result
-    if kind == "bcast_rounds":
-        return measure_bcast_rounds(world, nbytes,
-                                    window_len=spec.window_len).result
-    if kind == "bcast_sk":
-        return measure_bcast_sk(world, nbytes, M=spec.M).result
-    if kind == "barrier_time":
-        return measure_barrier_time(world, spec.iters)
-    if kind.startswith("lock_"):
-        mode = {"lock_uncontended": "uncontended_set_clear",
-                "lock_contended": "contended_set",
-                "lock_test_held": "test_held",
-                "lock_test_free": "test_free"}[kind]
-        holders = [] if mode != "test_held" else [spec.home_pe]
-        scenario = LockScenario(mode, home_pe=spec.home_pe,
-                                requester_pe=spec.requester_pe, holders=holders)
-        return measure_lock(world, scenario, spec.iters).mean
-    raise ValueError(f"unknown measurement type {kind!r}")
-
-
-def _ground_truth(world: PgasWorld, spec: MeasurementSpec, nbytes: int) -> float:
-    """Reference value from an isolated, fully traced instance of the op."""
-    kind = spec.type
-    if kind.startswith("bcast_"):
-        return ground_truth_bcast_span(world, nbytes)
-    if kind == "barrier_time":
-        w = world.fresh()
-
-        def prog(pe):
-            yield from pe.barrier()
-
-        return w.run([prog] * w.npes).barrier_span(0)
-    if kind in ("blocking_get", "blocking_put"):
-        w = world.fresh()
-        op = "get" if kind == "blocking_get" else "put"
-        box = {}
-
-        def prog(pe):
-            if pe.rank == 0:
-                box["op"] = yield from (
-                    pe.get(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
-                    if op == "get" else
-                    pe.put(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))
-                yield from pe.quiet()
-
-        trace = w.run([prog] + [idle] * (w.npes - 1))
-        return trace.op_elapsed(box["op"])
-    if kind in ("quiet", "nbi_put_full", "nbi_get_full",
-                "nbi_put_post", "nbi_get_post",
-                "nbi_put_quiet", "nbi_get_quiet"):
-        w = world.fresh()
-        n = 1 if kind == "quiet" else nbytes
-        box = {}
-
-        def prog(pe):
-            if pe.rank == 0:
-                box["op"] = yield from (
-                    pe.get_nbi(1, SRC_OFFSET, n, dst_offset=DST_OFFSET)
-                    if kind.startswith("nbi_get") else
-                    pe.put_nbi(1, DST_OFFSET, n, src_offset=SRC_OFFSET))
-                yield from pe.quiet()
-
-        trace = w.run([prog] + [idle] * (w.npes - 1))
-        ev = trace.op_events[box["op"]]
-        if kind.endswith("_post"):
-            return ev[LOCAL_COMPLETE] - ev[POST]
-        full = trace.quiet_spans[_quiet_id(trace)][1] - ev[POST]
-        if kind.endswith("_quiet"):
-            return full - (ev[LOCAL_COMPLETE] - ev[POST])
-        return full
-    if kind == "lock_uncontended":
-        net = world.net
-        return 4 * (net.o_s + net.L + net.o_r)  # two home round trips
-    if kind in ("lock_test_held", "lock_test_free"):
-        net = world.net
-        return 2 * (net.o_s + net.L + net.o_r)  # one home round trip
-    return math.nan  # overlap and contention have no single true duration
-
-
-def _quiet_id(trace) -> str:
-    for op_id in trace.quiet_spans:
-        return op_id
-    raise KeyError("no quiet in ground-truth run")
 
 
 def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
     base_seed = cfg.seed if seed is None else seed
     rows: list[ResultRow] = []
     for spec in cfg.measurements:
-        sweep = spec.nbytes if _sweeps_bytes(spec.type) else [0]
+        mtype = MEASUREMENT_TYPES[spec.type]
+        sweep = spec.nbytes if mtype.sweeps_bytes else [0]
         for nbytes in sweep:
             reps = {"n": 0}
 
@@ -225,24 +250,19 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
                                             reps["n"])
                 reps["n"] += 1
                 world = _build_world(cfg, spec, nbytes, jitter_seed)
-                return _measure_once(world, spec, nbytes)
+                return mtype.run(world, spec, nbytes)
 
             mean, sigma, samples = run_until_stable(
                 thunk, cfg.sigma_threshold, cfg.max_reps)
             truth_world = _build_world(cfg, spec, nbytes,
                                        _derived_seed(base_seed, spec.name,
                                                      nbytes, -1))
-            truth = _ground_truth(truth_world, spec, nbytes)
+            truth = mtype.truth(truth_world, spec, nbytes)
             rel = (abs(mean - truth) / max(truth, EPSILON)
                    if not math.isnan(truth) else math.nan)
             rows.append(ResultRow(spec.name, nbytes, spec.algo, mean, sigma,
                                   samples, truth, rel, expect=spec.expect))
     return rows
-
-
-def _sweeps_bytes(kind: str) -> bool:
-    return not (kind == "quiet" or kind == "barrier_time"
-                or kind.startswith("lock_"))
 
 
 def _fmt(x: float) -> str:

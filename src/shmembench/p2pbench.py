@@ -226,14 +226,11 @@ def _pilot_full(world: PgasWorld, kind: str, nbytes: int, iters: int,
 
 def calibrate_busy_wait(world: PgasWorld, units: int = 1_000_000) -> float:
     """Measured busy-wait throughput in work units per second."""
-    w = world.fresh()
-    out = {}
 
-    def prog(pe):
+    def frag(pe):
         t1 = yield from pe.stamp_begin()
-        yield from pe.busy_wait(units * w.busy_wait_unit)
+        yield from pe.busy_wait(units * pe.world.busy_wait_unit)
         t2 = yield from pe.stamp_end()
-        out["rate"] = units / (t2 - t1)
+        return units / (t2 - t1)
 
-    w.run([prog] + [idle] * (w.npes - 1))
-    return out["rate"]
+    return _run_on_pe0(world, frag)

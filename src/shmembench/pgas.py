@@ -792,8 +792,3 @@ class PgasWorld:
 def idle(pe: Pe):
     """A PE program that does nothing."""
     return iter(())
-
-
-def run_simulation(world: PgasWorld, programs) -> GroundTruthTrace:
-    """Execute one program per PE to completion; returns the trace."""
-    return world.run(programs)

@@ -1,7 +1,9 @@
 """Config parsing, repetition control, emission, report, and CLI."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -218,10 +220,13 @@ class TestHeapSizing:
         for spec in cfg.measurements:
             for n in spec.nbytes:
                 # below the cap, so the sized heap really is smaller
-                assert runner._HEAP_FOOTPRINT[spec.type](n) <= DEFAULT_HEAP_SIZE
+                footprint = runner.MEASUREMENT_TYPES[spec.type].footprint
+                assert footprint(n) <= DEFAULT_HEAP_SIZE
         sized = run_config(cfg)
-        monkeypatch.setattr(runner, "_HEAP_FOOTPRINT", dict.fromkeys(
-            runner._HEAP_FOOTPRINT, lambda nbytes: DEFAULT_HEAP_SIZE))
+        monkeypatch.setattr(runner, "MEASUREMENT_TYPES", {
+            kind: dataclasses.replace(
+                mtype, footprint=lambda nbytes: DEFAULT_HEAP_SIZE)
+            for kind, mtype in runner.MEASUREMENT_TYPES.items()})
         full = run_config(cfg)
         assert emit_results(sized) == emit_results(full)
         assert ground_truth_report(sized) == ground_truth_report(full)
@@ -231,6 +236,31 @@ class TestHeapSizing:
         (spec,) = cfg.measurements
         world = runner._build_world(cfg, spec, 8, jitter_seed=0)
         assert world.heap_size * 16 <= DEFAULT_HEAP_SIZE
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGoldenOutput:
+    """Simulated results stay byte-identical to the recorded outputs.
+
+    A change that alters any simulated number or report line fails here.
+    Rewrite the files under tests/data only in a change meant to alter
+    results, and say so in its notes.
+    """
+
+    def test_examples_report(self, capsys):
+        examples = Path(__file__).parent.parent / "examples.conf"
+        assert cli_main(["--config", str(examples), "--report"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "examples_report.txt").read_text()
+
+    def test_parity_config_csv_and_report(self):
+        cfg = parse_config(PARITY_CONFIG)
+        rows = run_config(cfg)
+        assert emit_results(rows) == (DATA / "parity.csv").read_text()
+        report, _ = ground_truth_report(rows, cfg.tolerance)
+        assert report == (DATA / "parity_report.txt").read_text()
 
 
 class TestCli:
@@ -268,7 +298,23 @@ class TestCli:
          "measurement.m: requester_pe = 5 is not a PE of npes = 2"),
         (1, "type = blocking_get\n",
          "measurement.m: blocking_get needs npes >= 2, got 1"),
-    ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer"])
+        (2, "type = bcast_naive\niters = 0\n",
+         "line 9: iters must be >= 1, got 0"),
+        (2, "type = bcast_sync\niters = 0\n",
+         "line 9: iters must be >= 1, got 0"),
+        (2, "type = lock_uncontended\niters = -3\n",
+         "line 9: iters must be >= 1, got -3"),
+        (2, "type = barrier_time\niters = 0\n",
+         "line 9: iters must be >= 1, got 0"),
+        (2, "type = nbi_put_overlap\niters = 0\n",
+         "line 9: iters must be >= 1, got 0"),
+        (2, "type = lock_test_held\nhome_pe = 1\n",
+         "measurement.m: lock_test_held needs home_pe != requester_pe, "
+         "got 1 for both"),
+    ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer",
+            "bcast_naive_zero_iters", "bcast_sync_zero_iters",
+            "lock_negative_iters", "barrier_zero_iters",
+            "overlap_zero_iters", "test_held_by_requester"])
     def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
                                                    npes, section, message):
         path = tmp_path / "unrunnable.conf"

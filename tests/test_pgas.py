@@ -3,8 +3,7 @@
 import pytest
 
 from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
-                        PgasWorld, ProgressMode, PutReturnPolicy,
-                        run_simulation)
+                        PgasWorld, ProgressMode, PutReturnPolicy)
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
@@ -326,11 +325,6 @@ class TestTrace:
             assert kind in _tr.EVENT_KINDS
             # >= 12 significant digits
             assert len(t.split("e")[0].replace(".", "").replace("-", "")) >= 12
-
-    def test_run_simulation_wrapper(self):
-        world = PgasWorld(1, NET)
-        trace = run_simulation(world, [lambda pe: iter(())])
-        assert trace is world.trace
 
 
 class TestDataPath:
