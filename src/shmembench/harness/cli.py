@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except (OSError, ConfigError) as e:
+    except (OSError, UnicodeDecodeError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -55,9 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     except DeadlockError as e:
         print(f"error: simulation deadlock: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
     text = emit_results(rows, out_format)
     if args.output:

@@ -7,9 +7,11 @@ Duration values accept s/ms/us/ns suffixes; bare numbers are seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..netmodel import NetworkModel, ProgressMode, PutReturnPolicy
+from ..pgas import DEFAULT_HEAP_SIZE
 from .runner import MEASUREMENT_TYPES
 
 
@@ -35,17 +37,18 @@ _FORMATS = ("csv", "jsonl")
 
 def parse_duration(text: str, line: int | None = None) -> float:
     text = text.strip()
-    for suffix, scale in _DURATION_SUFFIXES:
+    body, scale = text, 1.0
+    for suffix, suffix_scale in _DURATION_SUFFIXES:
         if text.endswith(suffix):
-            body = text[:-len(suffix)].strip()
-            try:
-                return float(body) * scale
-            except ValueError:
-                raise ConfigError(f"bad duration {text!r}", line) from None
+            body, scale = text[:-len(suffix)].strip(), suffix_scale
+            break
     try:
-        return float(text)
+        value = float(body) * scale
     except ValueError:
-        raise ConfigError(f"bad duration {text!r}", line) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"bad duration {text!r}", line)
+    return value
 
 
 @dataclass
@@ -82,7 +85,7 @@ class BenchConfig:
     timer_overhead: float = 0.0
 
 
-def _scalar_or_list(value: str, conv, line: int):
+def _scalar_or_list(value: str, conv):
     parts = [p.strip() for p in value.split(",")]
     items = [conv(p) for p in parts]
     return items[0] if len(items) == 1 else items
@@ -169,17 +172,33 @@ def parse_config(text: str) -> BenchConfig:
         if spec.network not in networks:
             raise ConfigError(
                 f"measurement.{spec.name}: unknown network {spec.network!r}")
-        _check_pes(spec, spec.npes if spec.npes is not None else cfg.npes)
+        _check_spec(cfg, spec)
     return cfg
 
 
-def _check_pes(spec: MeasurementSpec, npes: int) -> None:
-    """Reject a spec its type cannot run in `npes` PEs."""
+def _check_spec(cfg: BenchConfig, spec: MeasurementSpec) -> None:
+    """Reject a spec that cannot run in its effective number of PEs, with
+    its heap footprint or with the `[clock]` per-PE lists."""
+    npes = spec.npes if spec.npes is not None else cfg.npes
     where = f"measurement.{spec.name}"
     mtype = MEASUREMENT_TYPES[spec.type]
     if npes < mtype.min_npes:
         raise ConfigError(
             f"{where}: {spec.type} needs npes >= {mtype.min_npes}, got {npes}")
+    for nbytes in spec.nbytes if mtype.sweeps_bytes else [0]:
+        footprint = mtype.footprint(nbytes)
+        if footprint > DEFAULT_HEAP_SIZE:
+            raise ConfigError(
+                f"{where}: nbytes = {nbytes} addresses {footprint} heap "
+                f"bytes per PE, more than the {DEFAULT_HEAP_SIZE} a PE has")
+    if not 0 <= spec.barrier_root < npes:
+        raise ConfigError(f"{where}: barrier_root = {spec.barrier_root} "
+                          f"is not a PE of npes = {npes}")
+    for key in ("drift", "offset"):
+        per_pe = getattr(cfg, key)
+        if isinstance(per_pe, list) and len(per_pe) != npes:
+            raise ConfigError(f"{where}: [clock] {key} has {len(per_pe)} "
+                              f"entries, not one per PE of npes = {npes}")
     problem = mtype.check(spec, npes)
     if problem:
         raise ConfigError(f"{where}: {problem}")
@@ -217,13 +236,20 @@ def _parse_network(keys) -> NetworkModel:
 def _parse_clock(cfg: BenchConfig, keys) -> None:
     lineno, value = _pop(keys, "drift")
     if value is not None:
-        cfg.drift = _scalar_or_list(value, float, lineno)
+        cfg.drift = _scalar_or_list(value, lambda v: _float(v, lineno))
+        drifts = cfg.drift if isinstance(cfg.drift, list) else [cfg.drift]
+        if not all(-1 < d < math.inf for d in drifts):
+            raise ConfigError("drift must be > -1 and finite on every PE",
+                              lineno)
     lineno, value = _pop(keys, "offset")
     if value is not None:
-        cfg.offset = _scalar_or_list(value, lambda v: parse_duration(v, lineno), lineno)
+        cfg.offset = _scalar_or_list(value,
+                                    lambda v: parse_duration(v, lineno))
     lineno, value = _pop(keys, "timer_overhead")
     if value is not None:
         cfg.timer_overhead = parse_duration(value, lineno)
+        if cfg.timer_overhead < 0:
+            raise ConfigError("timer_overhead must be >= 0", lineno)
     _reject_unknown(keys, "clock")
 
 

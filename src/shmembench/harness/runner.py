@@ -14,11 +14,11 @@ from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                          measure_bcast_naive, measure_bcast_rounds,
                          measure_bcast_sk, measure_bcast_sync)
 from ..lockbench import LockScenario, measure_lock
-from ..netmodel import ClockModel
+from ..netmodel import ClockModel, NetworkModel
 from ..p2pbench import (DST_OFFSET, SRC_OFFSET, TimingStrategy,
                         measure_blocking, measure_nonblocking, measure_quiet)
 from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
-                    DEFAULT_HEAP_SIZE, PgasWorld, idle)
+                    PgasWorld, idle)
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
 
@@ -33,36 +33,42 @@ _BARRIER = {"dissemination": BARRIER_DISSEMINATION,
             "reduce_bcast": BARRIER_REDUCE_BCAST}
 
 
+def _runs_anywhere(spec, npes):
+    return None
+
+
 @dataclass(frozen=True)
 class MeasurementType:
     """How the harness runs, sizes and checks one measurement type.
 
-    `run` measures once; `truth` is the reference from an isolated traced
-    run, or NaN. Both take (world, spec, nbytes) and must reach measurement
+    `run(world, spec, nbytes)` measures once. `truth(net, new_world, spec,
+    nbytes)` is the reference from an isolated traced run on a world from
+    `new_world()`, a closed form over the network `net`, or NaN; a reference
+    that runs no simulation builds no world. Both must reach measurement
     functions through module names at call time, so a tracer that rebinds
     those names sees every call. `footprint(nbytes)` is the heap bytes per
     PE they address; it is stored as is, since sizing a heap is not a
     measurement call. A type that does not sweep bytes runs once, at nbytes
-    0. `check(spec, npes)` says why the spec's PE ranks cannot run, if so.
+    0. `check(spec, npes)` says why the spec cannot run in `npes` PEs, if so.
     """
     run: Callable[[PgasWorld, MeasurementSpec, int], float]
-    truth: Callable[[PgasWorld, MeasurementSpec, int], float]
+    truth: Callable[[NetworkModel, Callable[[], PgasWorld], MeasurementSpec,
+                     int], float]
     footprint: Callable[[int], int]
     sweeps_bytes: bool = True
     min_npes: int = 1
-    check: Callable[[MeasurementSpec, int], str | None] = (
-        lambda spec, npes: None)
+    check: Callable[[MeasurementSpec, int], str | None] = _runs_anywhere
 
 
-def _no_truth(world, spec, nbytes):
+def _no_truth(net, new_world, spec, nbytes):
     return math.nan  # overlap and contention have no single true duration
 
 
-def _p2p_span(world, op, nbytes, part):
-    """True time of one `op` from PE 0 to PE 1, then a quiet, in a fresh
+def _p2p_span(new_world, op, nbytes, part):
+    """True time of one `op` from PE 0 to PE 1, then a quiet, in a new
     world: from post to delivery (elapsed), to the quiet's return (full) or
     to local completion (post), or what the quiet adds to that (quiet)."""
-    w = world.fresh()
+    w = new_world()
     ids = []
 
     def prog(pe):
@@ -93,20 +99,31 @@ def _p2p(measure, truth, sweeps_bytes=True):
 
 def _nbi(op, variant):
     truth = (_no_truth if variant == "overlap" else
-             lambda w, s, n: _p2p_span(w, op + "_nbi", n, variant))
+             lambda net, new, s, n: _p2p_span(new, op + "_nbi", n, variant))
     return _p2p(lambda w, s, n, st: measure_nonblocking(
         w, op, variant, n, s.iters, st), truth)
 
 
-def _bcast(measure, footprint=collbench.heap_footprint):
+def _bcast(measure, footprint=collbench.heap_footprint, check=_runs_anywhere):
     """`measure(world, spec, nbytes)` returns a BcastMeasurement."""
-    return MeasurementType(lambda w, s, n: measure(w, s, n).result,
-                           lambda w, s, n: ground_truth_bcast_span(w, n),
-                           footprint)
+    return MeasurementType(
+        lambda w, s, n: measure(w, s, n).result,
+        lambda net, new, s, n: ground_truth_bcast_span(new(), n), footprint,
+        check=check)
 
 
-def _barrier_span(world, spec, nbytes):
-    w = world.fresh()
+def _check_window(spec, npes):
+    if spec.window_len is not None and not spec.window_len > 0:
+        return f"window_len must be > 0, got {spec.window_len:g} s"
+    return None
+
+
+def _check_M(spec, npes):
+    return f"M must be >= 1, got {spec.M}" if spec.M < 1 else None
+
+
+def _barrier_span(net, new_world, spec, nbytes):
+    w = new_world()
 
     def prog(pe):
         yield from pe.barrier()
@@ -133,8 +150,8 @@ def _lock(mode, round_trips=None):
                     f"got {spec.home_pe} for both")
         return None
 
-    truth = (_no_truth if round_trips is None else lambda w, s, n:
-             round_trips * (w.net.o_s + w.net.L + w.net.o_r))
+    truth = (_no_truth if round_trips is None else lambda net, new, s, n:
+             round_trips * (net.o_s + net.L + net.o_r))
     return MeasurementType(run, truth, lockbench.heap_footprint,
                            sweeps_bytes=False, check=check)
 
@@ -142,12 +159,12 @@ def _lock(mode, round_trips=None):
 MEASUREMENT_TYPES: dict[str, MeasurementType] = {
     "blocking_get": _p2p(
         lambda w, s, n, st: measure_blocking(w, "get", n, s.iters, st),
-        lambda w, s, n: _p2p_span(w, "get", n, "elapsed")),
+        lambda net, new, s, n: _p2p_span(new, "get", n, "elapsed")),
     "blocking_put": _p2p(
         lambda w, s, n, st: measure_blocking(w, "put", n, s.iters, st),
-        lambda w, s, n: _p2p_span(w, "put", n, "elapsed")),
+        lambda net, new, s, n: _p2p_span(new, "put", n, "elapsed")),
     "quiet": _p2p(lambda w, s, n, st: measure_quiet(w, s.iters, st),
-                  lambda w, s, n: _p2p_span(w, "put_nbi", 1, "full"),
+                  lambda net, new, s, n: _p2p_span(new, "put_nbi", 1, "full"),
                   sweeps_bytes=False),
     "nbi_put_full": _nbi("put", "full"),
     "nbi_put_post": _nbi("put", "post"),
@@ -161,11 +178,11 @@ MEASUREMENT_TYPES: dict[str, MeasurementType] = {
     "bcast_barrier": _bcast(
         lambda w, s, n: measure_bcast_barrier(w, n, s.iters)),
     "bcast_sync": _bcast(lambda w, s, n: measure_bcast_sync(
-        w, n, s.iters, window_len=s.window_len)),
+        w, n, s.iters, window_len=s.window_len), check=_check_window),
     "bcast_rounds": _bcast(lambda w, s, n: measure_bcast_rounds(
-        w, n, window_len=s.window_len)),
+        w, n, window_len=s.window_len), check=_check_window),
     "bcast_sk": _bcast(lambda w, s, n: measure_bcast_sk(w, n, M=s.M),
-                       collbench.sk_heap_footprint),
+                       collbench.sk_heap_footprint, _check_M),
     "barrier_time": MeasurementType(
         lambda w, s, n: measure_barrier_time(w, s.iters), _barrier_span,
         syncschemes.heap_footprint, sweeps_bytes=False),
@@ -219,18 +236,14 @@ def _derived_seed(seed: int, name: str, nbytes: int, rep: int) -> int:
 
 def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
                  jitter_seed: int) -> PgasWorld:
-    """A world whose heap holds exactly what the measurement addresses.
-
-    Capped at the default size, so a measurement that would address past
-    the default heap faults or deadlocks exactly as it would on it."""
+    """A world whose heap holds exactly what the measurement addresses
+    (`parse_config` rejects a footprint above the default heap size)."""
     npes = spec.npes if spec.npes is not None else cfg.npes
     clock = ClockModel(npes, drift_rate=cfg.drift, initial_offset=cfg.offset,
                        timer_overhead=cfg.timer_overhead,
                        jitter_seed=jitter_seed)
-    heap_size = min(MEASUREMENT_TYPES[spec.type].footprint(nbytes),
-                    DEFAULT_HEAP_SIZE)
     return PgasWorld(npes, cfg.networks[spec.network], clock,
-                     heap_size=heap_size,
+                     heap_size=MEASUREMENT_TYPES[spec.type].footprint(nbytes),
                      bcast_topology=spec.algo,
                      barrier_algo=_BARRIER[spec.barrier],
                      barrier_root=spec.barrier_root)
@@ -242,22 +255,26 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
     for spec in cfg.measurements:
         mtype = MEASUREMENT_TYPES[spec.type]
         sweep = spec.nbytes if mtype.sweeps_bytes else [0]
+        net = cfg.networks[spec.network]
         for nbytes in sweep:
-            reps = {"n": 0}
+            values: list[float] = []
 
             def thunk():
+                # Repetitions differ only in their jitter seed, and a
+                # jitter-free world draws no random numbers: replay the first.
+                if values and net.jitter_half_width == 0:
+                    return values[0]
                 jitter_seed = _derived_seed(base_seed, spec.name, nbytes,
-                                            reps["n"])
-                reps["n"] += 1
+                                            len(values))
                 world = _build_world(cfg, spec, nbytes, jitter_seed)
-                return mtype.run(world, spec, nbytes)
+                values.append(mtype.run(world, spec, nbytes))
+                return values[-1]
 
             mean, sigma, samples = run_until_stable(
                 thunk, cfg.sigma_threshold, cfg.max_reps)
-            truth_world = _build_world(cfg, spec, nbytes,
-                                       _derived_seed(base_seed, spec.name,
-                                                     nbytes, -1))
-            truth = mtype.truth(truth_world, spec, nbytes)
+            truth = mtype.truth(
+                net, lambda: _build_world(cfg, spec, nbytes, _derived_seed(
+                    base_seed, spec.name, nbytes, -1)), spec, nbytes)
             rel = (abs(mean - truth) / max(truth, EPSILON)
                    if not math.isnan(truth) else math.nan)
             rows.append(ResultRow(spec.name, nbytes, spec.algo, mean, sigma,

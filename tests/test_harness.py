@@ -46,6 +46,11 @@ class TestParseDuration:
         with pytest.raises(ConfigError):
             parse_duration("fast")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infus", "1e999"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ConfigError, match="bad duration"):
+            parse_duration(text)
+
 
 class TestParseConfig:
     def test_round_trip_of_semantic_content(self):
@@ -238,6 +243,126 @@ class TestHeapSizing:
         assert world.heap_size * 16 <= DEFAULT_HEAP_SIZE
 
 
+# Every measurement type on a jitter-free wire; drift, offsets and timer
+# cost are on, so only the jitter seed differs between repetitions.
+JITTER_FREE_CONFIG = """
+[network.exact]
+o_s = 100ns
+o_r = 100ns
+L = 1us
+g = 100ns
+G = 1ns
+
+[network.jittered]
+o_s = 100ns
+o_r = 100ns
+L = 1us
+g = 100ns
+G = 1ns
+jitter = 200ns
+
+[clock]
+drift = 0, 1e-5, -2e-5, 3e-5
+offset = 0, 1us, 2us, -1us
+timer_overhead = 20ns
+
+[run]
+npes = 4
+seed = 5
+""" + "".join(f"""
+[measurement.{kind}]
+network = exact
+type = {kind}
+nbytes = 1024
+iters = 4
+M = 2
+""" for kind in sorted(MEASUREMENT_TYPES))
+
+# Their references are NaN or a closed form over the network.
+NO_SIMULATED_REFERENCE = {"nbi_put_overlap", "nbi_get_overlap",
+                          "lock_uncontended", "lock_contended",
+                          "lock_test_held", "lock_test_free"}
+
+
+def _counting_runs(monkeypatch):
+    """Count each type's `run` calls in `run_config`."""
+    calls = dict.fromkeys(runner.MEASUREMENT_TYPES, 0)
+
+    def counted(kind, run):
+        def wrapper(*args):
+            calls[kind] += 1
+            return run(*args)
+        return wrapper
+
+    monkeypatch.setattr(runner, "MEASUREMENT_TYPES", {
+        kind: dataclasses.replace(mtype, run=counted(kind, mtype.run))
+        for kind, mtype in runner.MEASUREMENT_TYPES.items()})
+    return calls
+
+
+class TestReplay:
+    """A jitter-free row is simulated once and replayed for every later
+    repetition; `samples` still counts repetitions."""
+
+    @pytest.mark.parametrize("kind", sorted(MEASUREMENT_TYPES))
+    def test_jitter_free_run_ignores_the_jitter_seed(self, kind):
+        cfg = parse_config(JITTER_FREE_CONFIG)
+        (spec,) = [s for s in cfg.measurements if s.type == kind]
+        run = MEASUREMENT_TYPES[kind].run
+        values = [run(runner._build_world(cfg, spec, 1024, seed), spec, 1024)
+                  for seed in (1, 2 ** 63 + 12345)]
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("network,runs", [("exact", 1), ("jittered", 3)])
+    def test_row_calls_run_once_per_simulated_repetition(
+            self, monkeypatch, network, runs):
+        text = (JITTER_FREE_CONFIG.replace("network = exact",
+                                           f"network = {network}")
+                .replace("seed = 5", "seed = 5\nsigma_threshold = -1\n"
+                                     "max_reps = 3"))
+        cfg = parse_config(text)
+        calls = _counting_runs(monkeypatch)
+        rows = run_config(cfg)
+        assert calls == dict.fromkeys(MEASUREMENT_TYPES, runs)
+        for row in rows:
+            assert row.samples == 3
+            if network == "exact":
+                assert row.stddev == 0.0
+
+    def test_replayed_rows_equal_simulated_rows(self):
+        cfg = parse_config(JITTER_FREE_CONFIG.replace(
+            "seed = 5", "seed = 5\nsigma_threshold = -1\nmax_reps = 3"))
+        replayed = run_config(cfg)
+        # the same rows with a jitter width too small to move any time
+        for name, net in list(cfg.networks.items()):
+            cfg.networks[name] = dataclasses.replace(
+                net, jitter_half_width=net.jitter_half_width or 1e-300)
+        assert emit_results(run_config(cfg)) == emit_results(replayed)
+
+    @pytest.mark.parametrize("kind", sorted(MEASUREMENT_TYPES))
+    def test_reference_world_built_only_when_simulated(self, monkeypatch,
+                                                       kind):
+        cfg = parse_config(JITTER_FREE_CONFIG)
+        cfg.measurements = [s for s in cfg.measurements if s.type == kind]
+        (spec,) = cfg.measurements
+        seeds = []
+        build = runner._build_world
+
+        def recording(cfg, spec, nbytes, jitter_seed):
+            seeds.append(jitter_seed)
+            return build(cfg, spec, nbytes, jitter_seed)
+
+        monkeypatch.setattr(runner, "_build_world", recording)
+        (row,) = run_config(cfg)
+        nbytes = row.nbytes
+        reference = runner._derived_seed(cfg.seed, spec.name, nbytes, -1)
+        first = runner._derived_seed(cfg.seed, spec.name, nbytes, 0)
+        if kind in NO_SIMULATED_REFERENCE:
+            assert seeds == [first]
+        else:
+            assert seeds == [first, reference]
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -311,10 +436,50 @@ class TestCli:
         (2, "type = lock_test_held\nhome_pe = 1\n",
          "measurement.m: lock_test_held needs home_pe != requester_pe, "
          "got 1 for both"),
+        (4, "type = bcast_sync\nwindow_len = 0\n",
+         "measurement.m: window_len must be > 0, got 0 s"),
+        (4, "type = bcast_sync\nwindow_len = -1us\n",
+         "measurement.m: window_len must be > 0, got -1e-06 s"),
+        (4, "type = bcast_rounds\nwindow_len = 0\n",
+         "measurement.m: window_len must be > 0, got 0 s"),
+        (2, "type = bcast_sk\nM = 0\n",
+         "measurement.m: M must be >= 1, got 0"),
+        (2, "type = barrier_time\nbarrier_root = 2\n",
+         "measurement.m: barrier_root = 2 is not a PE of npes = 2"),
+        (8, "type = bcast_naive\nbarrier_root = 3\nnpes = 2\n",
+         "measurement.m: barrier_root = 3 is not a PE of npes = 2"),
+        (3, "type = lock_uncontended\n\n[clock]\ndrift = 0, 1e-6\n",
+         "measurement.m: [clock] drift has 2 entries, not one per PE of "
+         "npes = 3"),
+        (2, "type = quiet\nnpes = 3\n\n[clock]\noffset = 0, 1us\n",
+         "measurement.m: [clock] offset has 2 entries, not one per PE of "
+         "npes = 3"),
+        (2, "type = quiet\n\n[clock]\ndrift = 0, -1\n",
+         "line 11: drift must be > -1 and finite on every PE"),
+        (2, "type = quiet\n\n[clock]\ndrift = fast\n",
+         "line 11: bad number 'fast'"),
+        (2, "type = quiet\n\n[clock]\ntimer_overhead = -1ns\n",
+         "line 11: timer_overhead must be >= 0"),
+        (2, "type = blocking_get\nnbytes = 8, 2097152\n",
+         "measurement.m: nbytes = 2097152 addresses 2162688 heap bytes per "
+         "PE, more than the 2097152 a PE has"),
+        (2, "type = quiet\n\n[clock]\ndrift = 0, inf\n",
+         "line 11: drift must be > -1 and finite on every PE"),
+        (2, "type = quiet\n\n[network.m]\nL = nan\n",
+         "line 11: bad duration 'nan'"),
+        (2, "type = quiet\n\n[clock]\noffset = 0, -infus\n",
+         "line 11: bad duration '-infus'"),
     ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer",
             "bcast_naive_zero_iters", "bcast_sync_zero_iters",
             "lock_negative_iters", "barrier_zero_iters",
-            "overlap_zero_iters", "test_held_by_requester"])
+            "overlap_zero_iters", "test_held_by_requester",
+            "bcast_sync_zero_window", "bcast_sync_negative_window",
+            "bcast_rounds_zero_window", "bcast_sk_zero_M",
+            "barrier_root_past_npes", "barrier_root_past_measurement_npes",
+            "drift_list_length", "offset_list_length_per_measurement",
+            "drift_not_monotone", "drift_not_a_number",
+            "negative_timer_overhead", "get_past_heap", "infinite_drift",
+            "nan_latency", "infinite_offset"])
     def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
                                                    npes, section, message):
         path = tmp_path / "unrunnable.conf"
@@ -324,6 +489,26 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_deadlock_is_one_line_exit_3(self, tmp_path, capsys):
+        # a 2 MiB acknowledged broadcast fits the heap but overwrites its
+        # own acknowledgment cell at 1 MiB
+        path = tmp_path / "deadlock.conf"
+        path.write_text("[network.n]\nL = 1us\n\n[run]\nnpes = 4\n\n"
+                        "[measurement.m]\ntype = bcast_sk\nnbytes = 2097152\n"
+                        "M = 1\n")
+        assert cli_main(["--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: simulation deadlock: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_is_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.conf"
+        path.write_bytes(b"\xff\xfe[run]\n")
+        assert cli_main(["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_missing_config_exit_code(self, capsys):
         assert cli_main([]) == 2

@@ -1,7 +1,8 @@
 """Trace invariants over random P2P, broadcast and lock measurements.
 
 Every world a measurement runs is captured, and its ground-truth trace must
-keep simulated time monotone and deliver each posted op exactly once.
+keep simulated time monotone, deliver each posted op exactly once, and
+nest each PE's broadcast and barrier instances in call order.
 """
 
 from collections import Counter
@@ -15,7 +16,8 @@ from shmembench import (ClockModel, LockScenario, NetworkModel, PgasWorld,
                         measure_bcast_sk, measure_bcast_sync,
                         measure_blocking, measure_lock, measure_nonblocking,
                         measure_quiet)
-from shmembench.trace import POST, REMOTE_DELIVERED
+from shmembench.trace import (BARRIER_ENTER, BARRIER_EXIT, BCAST_ENTER,
+                              BCAST_EXIT, POST, REMOTE_DELIVERED)
 
 ITERS = 3
 
@@ -53,16 +55,18 @@ def _captured_runs(monkeypatch_ctx):
     return worlds
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(sorted(MEASUREMENTS)),
-       npes=st.integers(2, 6),
-       nbytes=st.integers(0, 4096),
-       seed=st.integers(0, 2**32 - 1),
-       jitter=st.sampled_from([0.0, 3e-7]),
-       progress=st.sampled_from(list(ProgressMode)),
-       put_return=st.sampled_from(list(PutReturnPolicy)))
-def test_trace_time_monotone_and_each_post_delivered_once(
-        kind, npes, nbytes, seed, jitter, progress, put_return):
+MEASURED_WORLDS = dict(
+    kind=st.sampled_from(sorted(MEASUREMENTS)),
+    npes=st.integers(2, 6),
+    nbytes=st.integers(0, 4096),
+    seed=st.integers(0, 2**32 - 1),
+    jitter=st.sampled_from([0.0, 3e-7]),
+    progress=st.sampled_from(list(ProgressMode)),
+    put_return=st.sampled_from(list(PutReturnPolicy)))
+
+
+def _measured_worlds(kind, npes, nbytes, seed, jitter, progress, put_return):
+    """Every world one measurement of `kind` runs."""
     net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, g=1e-7, G=1e-9,
                        jitter_half_width=jitter, progress_mode=progress,
                        put_return_policy=put_return)
@@ -71,7 +75,13 @@ def test_trace_time_monotone_and_each_post_delivered_once(
         worlds = _captured_runs(mp)
         MEASUREMENTS[kind](world, nbytes)
     assert worlds
-    for w in worlds:
+    return worlds
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MEASURED_WORLDS)
+def test_trace_time_monotone_and_each_post_delivered_once(**params):
+    for w in _measured_worlds(**params):
         times = [e.t_global for e in w.trace.entries]
         assert times == sorted(times)
         delivered = Counter(e.op_id for e in w.trace.entries
@@ -80,3 +90,30 @@ def test_trace_time_monotone_and_each_post_delivered_once(
         assert len(posted) == len(set(posted))
         for op_id in posted:
             assert delivered[op_id] == 1, op_id
+
+
+_COLLECTIVE = {BCAST_ENTER: ("bcast", "enter"), BCAST_EXIT: ("bcast", "exit"),
+               BARRIER_ENTER: ("barrier", "enter"),
+               BARRIER_EXIT: ("barrier", "exit")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MEASURED_WORLDS)
+def test_collective_instances_nest(**params):
+    """On each PE, collective instance k is entered, then exited, and only
+    then is instance k + 1 entered; no instance is left open."""
+    for w in _measured_worlds(**params):
+        steps = {pe: [] for pe in range(w.npes)}
+        for e in w.trace.entries:
+            if e.kind in _COLLECTIVE:
+                kind, step = _COLLECTIVE[e.kind]
+                assert e.op_id.startswith(kind)
+                steps[e.pe].append((int(e.op_id[len(kind):]), kind, step,
+                                    e.t_global))
+        for seq in steps.values():
+            assert len(seq) % 2 == 0
+            for k, (instance, kind, step, _) in enumerate(seq):
+                assert (instance, step) == (k // 2, ("enter", "exit")[k % 2])
+                assert kind == seq[k - k % 2][1]
+            times = [t for *_, t in seq]
+            assert times == sorted(times)
