@@ -9,33 +9,33 @@ from .netmodel import (ClockModel, NetworkModel, ProgressMode,
                        PutReturnPolicy)
 from .pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
                    BCAST_BINOMIAL, BCAST_LINEAR, CollectiveMismatchError,
-                   DeadlockError, HeapFault, LockError, Pe, PgasWorld)
+                   DeadlockError, HeapFault, LockError, Measurement, Pe,
+                   PgasWorld, run_fresh)
 from .trace import GroundTruthTrace, TraceEvent
 from .syncschemes import (SyncState, estimate_offsets, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
-from .p2pbench import (P2PResult, TimingStrategy, calibrate_busy_wait,
-                       measure_blocking, measure_nonblocking, measure_quiet)
-from .collbench import (BcastAlgo, BcastMeasurement, ground_truth_bcast_span,
-                        measure_bcast_barrier, measure_bcast_naive,
-                        measure_bcast_rounds, measure_bcast_sk,
-                        measure_bcast_sync)
-from .lockbench import LockResult, LockScenario, measure_lock
+from .p2pbench import (TimingStrategy, calibrate_busy_wait, measure_blocking,
+                       measure_nonblocking, measure_quiet)
+from .collbench import (ground_truth_bcast_span, measure_bcast_barrier,
+                        measure_bcast_naive, measure_bcast_rounds,
+                        measure_bcast_sk, measure_bcast_sync)
+from .lockbench import LockScenario, measure_lock
 
 __all__ = [
     "ClockModel", "NetworkModel", "ProgressMode", "PutReturnPolicy",
-    "PgasWorld", "Pe", "GroundTruthTrace", "TraceEvent",
+    "PgasWorld", "Pe", "run_fresh", "Measurement",
+    "GroundTruthTrace", "TraceEvent",
     "DeadlockError", "HeapFault", "CollectiveMismatchError", "LockError",
     "BCAST_LINEAR", "BCAST_BINOMIAL",
     "BARRIER_DISSEMINATION", "BARRIER_REDUCE_BCAST",
     "SyncState", "estimate_offsets", "measure_barrier_time",
     "offset_probe_fragment", "start_synchronization", "stop_synchronization",
-    "TimingStrategy", "P2PResult", "measure_blocking", "measure_nonblocking",
-    "measure_quiet", "calibrate_busy_wait",
-    "BcastAlgo", "BcastMeasurement", "ground_truth_bcast_span",
+    "TimingStrategy", "measure_blocking", "measure_nonblocking",
+    "measure_quiet", "calibrate_busy_wait", "ground_truth_bcast_span",
     "measure_bcast_naive", "measure_bcast_barrier", "measure_bcast_sync",
     "measure_bcast_rounds", "measure_bcast_sk",
-    "LockScenario", "LockResult", "measure_lock",
+    "LockScenario", "measure_lock",
 ]
 
 __version__ = "0.1.0"

@@ -10,10 +10,7 @@ fetch-and-increment consumed by a wait-until.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
-from .pgas import INT_SIZE, PgasWorld
+from .pgas import INT_SIZE, Measurement, PgasWorld, check_iters, run_fresh
 from .syncschemes import (SyncState, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
@@ -32,43 +29,20 @@ def sk_heap_footprint(nbytes: int) -> int:
     return max(nbytes, ACK_OFFSET + INT_SIZE)
 
 
-class BcastAlgo(Enum):
-    NAIVE_LOOP = "naive"
-    BARRIER_SYNC = "barrier"
-    ACTIVE_SYNC = "sync"
-    ROUNDS = "rounds"
-    SK = "sk"
-
-
-@dataclass
-class BcastMeasurement:
-    algo: BcastAlgo
-    nbytes: int
-    iterations: int
-    result: float
-    per_task: dict[int, float] = field(default_factory=dict)
-    discarded: int = 0
-    flags: list[str] = field(default_factory=list)
-    world: PgasWorld | None = None  # the run, kept for trace-based checks
-
-
 def ground_truth_bcast_span(world: PgasWorld, nbytes: int, root: int = 0) -> float:
     """True span of one isolated broadcast with simultaneous entry."""
-    w = world.fresh()
 
     def prog(pe):
         yield from pe.broadcast(root, BUF_OFFSET, nbytes)
 
-    trace = w.run([prog] * w.npes)
-    return trace.bcast_span(0)
+    return run_fresh(world, prog).trace.bcast_span(0)
 
 
 def measure_bcast_naive(world: PgasWorld, nbytes: int,
-                        iters: int = 32) -> BcastMeasurement:
+                        iters: int = 32) -> Measurement:
     """Global timer on the root around a loop of broadcasts; biased low when
     the topology lets consecutive calls pipeline."""
-    w = world.fresh()
-    out = {}
+    check_iters(iters)
 
     def prog(pe):
         yield from pe.barrier()
@@ -78,19 +52,17 @@ def measure_bcast_naive(world: PgasWorld, nbytes: int,
             yield from pe.broadcast(0, BUF_OFFSET, nbytes)
         if pe.rank == 0:
             t2 = yield from pe.stamp_end()
-            out["mean"] = (t2 - t1) / iters
+            return (t2 - t1) / iters
 
-    w.run([prog] * w.npes)
-    return BcastMeasurement(BcastAlgo.NAIVE_LOOP, nbytes, iters, out["mean"])
+    return Measurement(run_fresh(world, prog).returned[0], iters)
 
 
 def measure_bcast_barrier(world: PgasWorld, nbytes: int, iters: int = 32,
-                          barrier_iters: int = 100) -> BcastMeasurement:
+                          barrier_iters: int = 100) -> Measurement:
     """Separate consecutive broadcasts with a barrier and subtract the
     separately calibrated barrier cost."""
-    t_barrier = measure_barrier_time(world, barrier_iters)
-    w = world.fresh()
-    out = {}
+    check_iters(iters)
+    t_barrier = measure_barrier_time(world, barrier_iters).result
 
     def prog(pe):
         yield from pe.barrier()
@@ -103,17 +75,14 @@ def measure_bcast_barrier(world: PgasWorld, nbytes: int, iters: int = 32,
             if pe.rank == 0:
                 t2 = yield from pe.stamp_end()
                 total += t2 - t1
-        if pe.rank == 0:
-            out["mean"] = total / iters
+        return total / iters
 
-    w.run([prog] * w.npes)
-    mean = out["mean"] - t_barrier
+    mean = run_fresh(world, prog).returned[0] - t_barrier
     flags = []
     if mean < 0:
         mean = 0.0
         flags.append("unstable")
-    return BcastMeasurement(BcastAlgo.BARRIER_SYNC, nbytes, iters, mean,
-                            flags=flags)
+    return Measurement(mean, iters, flags)
 
 
 def _pilot_window(world: PgasWorld, nbytes: int) -> float:
@@ -133,65 +102,55 @@ def _aligned_start(pe, state: SyncState, probe_reps: int):
 
 def measure_bcast_sync(world: PgasWorld, nbytes: int, iters: int = 32,
                        window_len: float | None = None,
-                       probe_reps: int = 16) -> BcastMeasurement:
+                       probe_reps: int = 16) -> Measurement:
     """Each iteration bracketed by window start/stop synchronization."""
+    check_iters(iters)
     if window_len is None:
         window_len = _pilot_window(world, nbytes)
-    w = world.fresh()
-    state = SyncState(offsets=[0.0] * w.npes, window_len=window_len)
-    t1s: dict[int, list] = {pe: [] for pe in range(w.npes)}
-    t2s: dict[int, list] = {pe: [] for pe in range(w.npes)}
-    overruns: dict[int, list] = {pe: [] for pe in range(w.npes)}
+    state = SyncState(offsets=[0.0] * world.npes, window_len=window_len)
 
     def prog(pe):
         yield from _aligned_start(pe, state, probe_reps)
+        windows = []
         for i in range(iters):
             t1, over = yield from start_synchronization(pe, state, i)
             yield from pe.broadcast(0, BUF_OFFSET, nbytes)
-            t2 = yield from stop_synchronization(pe, state, i)
-            t1s[pe.rank].append(t1)
-            t2s[pe.rank].append(t2)
-            overruns[pe.rank].append(over)
+            t2 = yield from stop_synchronization(pe)
+            windows.append((t2 - t1, over))
+        return windows
 
-    w.run([prog] * w.npes)
     spans, discarded = [], 0
-    for i in range(iters):
-        if any(overruns[pe][i] for pe in range(w.npes)):
+    for window in zip(*run_fresh(world, prog).returned):
+        if any(over for _, over in window):
             discarded += 1
             continue
-        spans.append(max(t2s[pe][i] - t1s[pe][i] for pe in range(w.npes)))
+        spans.append(max(span for span, _ in window))
     flags = []
     if discarded > iters // 2:
         flags.append("invalid")
     result = sum(spans) / len(spans) if spans else 0.0
-    return BcastMeasurement(BcastAlgo.ACTIVE_SYNC, nbytes, iters, result,
-                            discarded=discarded, flags=flags)
+    return Measurement(result, iters, flags, discarded=discarded)
 
 
 def measure_bcast_rounds(world: PgasWorld, nbytes: int,
                          window_len: float | None = None,
-                         probe_reps: int = 16) -> BcastMeasurement:
+                         probe_reps: int = 16) -> Measurement:
     """One synchronized window around a loop of broadcasts with rotating
     root; the window span divided by the PE count."""
     if window_len is None:
         window_len = _pilot_window(world, nbytes) * world.npes
-    w = world.fresh()
-    state = SyncState(offsets=[0.0] * w.npes, window_len=window_len)
-    t1s: dict[int, float] = {}
-    t2s: dict[int, float] = {}
+    state = SyncState(offsets=[0.0] * world.npes, window_len=window_len)
 
     def prog(pe):
         yield from _aligned_start(pe, state, probe_reps)
         t1, _ = yield from start_synchronization(pe, state, 0)
-        for root in range(w.npes):
+        for root in range(pe.world.npes):
             yield from pe.broadcast(root, BUF_OFFSET, nbytes)
-        t2 = yield from stop_synchronization(pe, state, 0)
-        t1s[pe.rank] = t1
-        t2s[pe.rank] = t2
+        t2 = yield from stop_synchronization(pe)
+        return t2 - t1
 
-    w.run([prog] * w.npes)
-    result = max(t2s[pe] - t1s[pe] for pe in range(w.npes)) / w.npes
-    return BcastMeasurement(BcastAlgo.ROUNDS, nbytes, w.npes, result)
+    spans = run_fresh(world, prog).returned
+    return Measurement(max(spans) / world.npes, world.npes)
 
 
 def _ack_round_trip(pe, root: int, task: int):
@@ -207,9 +166,7 @@ def _ack_round_trip(pe, root: int, task: int):
         yield from pe.fetch_inc(root, ACK_OFFSET)
 
 
-def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
-                     rt1_reps: int | None = None,
-                     inter_sleep: float = 0.0) -> BcastMeasurement:
+def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16) -> Measurement:
     """Acknowledged broadcast measurement.
 
     For each non-root task: calibrate the acknowledgment round trip, run a
@@ -220,25 +177,20 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if rt1_reps is None:
-        rt1_reps = M
-    w = world.fresh()
     root = 0
-    per_task: dict[int, float] = {}
-    flags: list[str] = []
 
     def prog(pe):
-        rank, P = pe.rank, w.npes
+        rank, estimate = pe.rank, None
         yield from pe.barrier()
-        for task in range(1, P):
+        for task in range(1, pe.world.npes):
             # measure the ack round trip between root and task
             rt1 = 0.0
             if rank in (root, task):
                 t1 = yield from pe.stamp_begin()
-                for _ in range(rt1_reps):
+                for _ in range(M):
                     yield from _ack_round_trip(pe, root, task)
                 t2 = yield from pe.stamp_end()
-                rt1 = (t2 - t1) / rt1_reps
+                rt1 = (t2 - t1) / M
             # warm-up: one acknowledged broadcast
             yield from pe.broadcast(root, BUF_OFFSET, nbytes)
             yield from _ack_round_trip(pe, root, task)
@@ -251,20 +203,16 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16,
                     pe.store_int(ACK_OFFSET, 0)
                 elif rank == task:
                     yield from pe.fetch_inc(root, ACK_OFFSET)
-                if inter_sleep > 0:
-                    yield from pe.busy_wait(inter_sleep)
             t2 = yield from pe.stamp_end()
             if rank == task:
-                rt2 = (t2 - t1) / M
-                per_task[task] = rt2 - rt1 - inter_sleep
+                estimate = (t2 - t1) / M - rt1
+        return estimate
 
-    w.run([prog] * w.npes)
-    if per_task:
-        result = max(per_task.values())
-        if result < 0:
-            result = 0.0
-            flags.append("unstable")
-    else:
-        result = 0.0  # P == 1: no tasks to sweep
-    return BcastMeasurement(BcastAlgo.SK, nbytes, M, result,
-                            per_task=per_task, flags=flags, world=w)
+    w = run_fresh(world, prog)
+    per_task = dict(enumerate(w.returned[1:], start=1))
+    flags = []
+    result = max(per_task.values(), default=0.0)  # P == 1: no tasks to sweep
+    if result < 0:
+        result = 0.0
+        flags.append("unstable")
+    return Measurement(result, M, flags, per_task=per_task, world=w)

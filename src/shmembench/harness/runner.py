@@ -17,7 +17,7 @@ from ..lockbench import LockScenario, measure_lock
 from ..netmodel import ClockModel, NetworkModel
 from ..p2pbench import (DST_OFFSET, SRC_OFFSET, TimingStrategy,
                         measure_blocking, measure_nonblocking, measure_quiet)
-from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
+from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST, Measurement,
                     PgasWorld, idle)
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
@@ -51,7 +51,7 @@ class MeasurementType:
     measurement call. A type that does not sweep bytes runs once, at nbytes
     0. `check(spec, npes)` says why the spec cannot run in `npes` PEs, if so.
     """
-    run: Callable[[PgasWorld, MeasurementSpec, int], float]
+    run: Callable[[PgasWorld, MeasurementSpec, int], Measurement]
     truth: Callable[[NetworkModel, Callable[[], PgasWorld], MeasurementSpec,
                      int], float]
     footprint: Callable[[int], int]
@@ -69,19 +69,17 @@ def _p2p_span(new_world, op, nbytes, part):
     world: from post to delivery (elapsed), to the quiet's return (full) or
     to local completion (post), or what the quiet adds to that (quiet)."""
     w = new_world()
-    ids = []
 
     def prog(pe):
-        if pe.rank == 0:
-            issue = getattr(pe, op)
-            ids.append((yield from (
-                issue(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
-                if op.startswith("get") else
-                issue(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))))
-            ids.append((yield from pe.quiet()))
+        issue = getattr(pe, op)
+        op_id = yield from (
+            issue(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
+            if op.startswith("get") else
+            issue(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))
+        return op_id, (yield from pe.quiet())
 
     trace = w.run([prog] + [idle] * (w.npes - 1))
-    op_id, quiet_id = ids
+    op_id, quiet_id = w.returned[0]
     if part == "elapsed":
         return trace.op_elapsed(op_id)
     ev = trace.op_events[op_id]
@@ -91,9 +89,9 @@ def _p2p_span(new_world, op, nbytes, part):
 
 
 def _p2p(measure, truth, sweeps_bytes=True):
-    """`measure(world, spec, nbytes, strategy)` returns a P2PResult."""
+    """`measure(world, spec, nbytes, strategy)` measures once."""
     return MeasurementType(
-        lambda w, s, n: measure(w, s, n, TimingStrategy(s.strategy)).mean,
+        lambda w, s, n: measure(w, s, n, TimingStrategy(s.strategy)),
         truth, p2pbench.heap_footprint, sweeps_bytes, min_npes=2)
 
 
@@ -105,11 +103,9 @@ def _nbi(op, variant):
 
 
 def _bcast(measure, footprint=collbench.heap_footprint, check=_runs_anywhere):
-    """`measure(world, spec, nbytes)` returns a BcastMeasurement."""
     return MeasurementType(
-        lambda w, s, n: measure(w, s, n).result,
-        lambda net, new, s, n: ground_truth_bcast_span(new(), n), footprint,
-        check=check)
+        measure, lambda net, new, s, n: ground_truth_bcast_span(new(), n),
+        footprint, check=check)
 
 
 def _check_window(spec, npes):
@@ -137,7 +133,7 @@ def _lock(mode, round_trips=None):
     def run(world, spec, nbytes):
         scenario = LockScenario(mode, home_pe=spec.home_pe,
                                 requester_pe=spec.requester_pe)
-        return measure_lock(world, scenario, spec.iters).mean
+        return measure_lock(world, scenario, spec.iters)
 
     def check(spec, npes):
         for key in ("home_pe", "requester_pe"):
@@ -267,7 +263,7 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
                 jitter_seed = _derived_seed(base_seed, spec.name, nbytes,
                                             len(values))
                 world = _build_world(cfg, spec, nbytes, jitter_seed)
-                values.append(mtype.run(world, spec, nbytes))
+                values.append(mtype.run(world, spec, nbytes).result)
                 return values[-1]
 
             mean, sigma, samples = run_until_stable(

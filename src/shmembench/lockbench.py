@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pgas import INT_SIZE, PgasWorld
+from .pgas import INT_SIZE, Measurement, PgasWorld, check_iters, run_fresh
 
 LOCK_OFFSET = 0
 FLAG_OFFSET = 1 << 12
@@ -29,16 +29,9 @@ class LockScenario:
     holders: list[int] = field(default_factory=list)
 
 
-@dataclass
-class LockResult:
-    scenario: LockScenario
-    iterations: int
-    mean: float
-    test_values: list[bool] = field(default_factory=list)
-
-
 def measure_lock(world: PgasWorld, scenario: LockScenario,
-                 iters: int = 16) -> LockResult:
+                 iters: int = 16) -> Measurement:
+    check_iters(iters)
     mode = scenario.mode
     if mode == "uncontended_set_clear":
         return _uncontended(world, scenario, iters)
@@ -50,9 +43,7 @@ def measure_lock(world: PgasWorld, scenario: LockScenario,
 
 
 def _uncontended(world, scenario, iters):
-    w = world.fresh()
     req, home = scenario.requester_pe, scenario.home_pe
-    out = {}
 
     def prog(pe):
         yield from pe.barrier()
@@ -63,19 +54,17 @@ def _uncontended(world, scenario, iters):
             yield from pe.lock_set(LOCK_OFFSET, home)
             yield from pe.lock_clear(LOCK_OFFSET, home)
         t2 = yield from pe.stamp_end()
-        out["mean"] = (t2 - t1) / iters
+        return (t2 - t1) / iters
 
-    w.run([prog] * w.npes)
-    return LockResult(scenario, iters, out["mean"])
+    return Measurement(run_fresh(world, prog).returned[req], iters)
 
 
 def _contended(world, scenario, iters):
     """Every contender loops set/clear; report the requester's mean time
     spent inside lock_set."""
-    w = world.fresh()
     req, home = scenario.requester_pe, scenario.home_pe
-    contenders = scenario.holders or [pe for pe in range(w.npes) if pe != req]
-    out = {}
+    contenders = scenario.holders or [pe for pe in range(world.npes)
+                                      if pe != req]
 
     def prog(pe):
         yield from pe.barrier()
@@ -87,25 +76,22 @@ def _contended(world, scenario, iters):
                 t2 = yield from pe.stamp_end()
                 total += t2 - t1
                 yield from pe.lock_clear(LOCK_OFFSET, home)
-            out["mean"] = total / iters
+            return total / iters
         elif pe.rank in contenders:
             for _ in range(iters):
                 yield from pe.lock_set(LOCK_OFFSET, home)
                 yield from pe.lock_clear(LOCK_OFFSET, home)
 
-    w.run([prog] * w.npes)
-    return LockResult(scenario, iters, out["mean"])
+    return Measurement(run_fresh(world, prog).returned[req], iters)
 
 
 def _test(world, scenario, iters, held):
     """Time lock_test on a lock that a designated holder keeps held (or on
     a free lock); the holder releases only after the requester signals it
-    is done, so every probe observes the same state."""
-    w = world.fresh()
+    is done, so every probe observes the same state.  `acquired` counts the
+    probes that took the lock."""
     req, home = scenario.requester_pe, scenario.home_pe
     holder = scenario.holders[0] if scenario.holders else home
-    out = {}
-    values: list[bool] = []
 
     def prog(pe):
         yield from pe.barrier()
@@ -117,18 +103,18 @@ def _test(world, scenario, iters, held):
         if pe.rank == req:
             if held:
                 yield from pe.wait_until(FLAG_OFFSET, "eq", 1)
-            total = 0.0
+            total, acquired = 0.0, 0
             for _ in range(iters):
                 t1 = yield from pe.stamp_begin()
                 got = yield from pe.lock_test(LOCK_OFFSET, home)
                 t2 = yield from pe.stamp_end()
                 total += t2 - t1
-                values.append(got)
                 if got:  # release outside the timed region
+                    acquired += 1
                     yield from pe.lock_clear(LOCK_OFFSET, home)
-            out["mean"] = total / iters
             if held:
                 yield from pe.fetch_inc(holder, FLAG_OFFSET)
+            return total / iters, acquired
 
-    w.run([prog] * w.npes)
-    return LockResult(scenario, iters, out["mean"], test_values=values)
+    mean, acquired = run_fresh(world, prog).returned[req]
+    return Measurement(mean, iters, components={"acquired": acquired})

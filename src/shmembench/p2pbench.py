@@ -9,10 +9,9 @@ method for routines that can only run in the context of another call
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .pgas import PgasWorld, idle
+from .pgas import Measurement, PgasWorld, check_iters, run_fresh
 
 UNSTABLE_REL_SIGMA = 0.05
 DEFAULT_INNER_REPS = 64
@@ -31,20 +30,6 @@ class TimingStrategy(Enum):
     GLOBAL_LOOP = "global_loop"      # one timer pair outside the loop
     PER_ITERATION = "per_iteration"  # timer pair inside every iteration
     SUBTRACT_POST = "subtract_post"  # time the loop, subtract pilot post cost
-
-
-@dataclass
-class P2PResult:
-    mean: float
-    samples: int
-    strategy: TimingStrategy
-    nbytes: int
-    components: dict[str, float] = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 def _timed_loop(pe, body, iters, strategy):
@@ -66,25 +51,17 @@ def _timed_loop(pe, body, iters, strategy):
 
 def _run_on_pe0(world: PgasWorld, frag):
     """Run `frag` on PE 0 of a fresh world, idle elsewhere; returns its value."""
-    w = world.fresh()
-    out = {}
-
-    def prog(pe):
-        out["value"] = yield from frag(pe)
-
-    w.run([prog] + [idle] * (w.npes - 1))
-    return out["value"]
+    return run_fresh(world, frag, ranks=(0,)).returned[0]
 
 
 def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
                      iters: int = DEFAULT_INNER_REPS,
-                     strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> P2PResult:
+                     strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> Measurement:
     """Blocking get: call-to-return time.  Blocking put: time of (put; quiet)
     minus the separately calibrated near-empty quiet cost."""
     if kind not in ("get", "put"):
         raise ValueError(f"kind must be get or put, not {kind!r}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check_iters(iters)
 
     if kind == "get":
         def frag(pe):
@@ -92,8 +69,7 @@ def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
                 yield from pe.get(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
             return (yield from _timed_loop(pe, body, iters, strategy))
 
-        mean = _run_on_pe0(world, frag)
-        return P2PResult(mean, iters, strategy, nbytes)
+        return Measurement(_run_on_pe0(world, frag), iters)
 
     # the calibration is a pilot; always time it with the accurate strategy
     quiet_cal = measure_quiet(world, iters, TimingStrategy.GLOBAL_LOOP)
@@ -105,19 +81,19 @@ def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
         return (yield from _timed_loop(pe, body, iters, strategy))
 
     raw = _run_on_pe0(world, frag)
-    mean = raw - quiet_cal.mean
+    mean = raw - quiet_cal.result
     flags = []
     if mean < 0:
         mean = 0.0
         flags.append("unstable")
-    return P2PResult(mean, iters, strategy, nbytes,
-                     components={"raw": raw, "quiet": quiet_cal.mean},
-                     flags=flags)
+    return Measurement(mean, iters, flags,
+                       {"raw": raw, "quiet": quiet_cal.result})
 
 
 def measure_quiet(world: PgasWorld, iters: int = DEFAULT_INNER_REPS,
-                  strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> P2PResult:
+                  strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> Measurement:
     """Cost of a near-empty quiet: a 1-byte posted put then quiet."""
+    check_iters(iters)
 
     def frag(pe):
         def body(i):
@@ -125,8 +101,7 @@ def measure_quiet(world: PgasWorld, iters: int = DEFAULT_INNER_REPS,
             yield from pe.quiet()
         return (yield from _timed_loop(pe, body, iters, strategy))
 
-    mean = _run_on_pe0(world, frag)
-    return P2PResult(mean, iters, strategy, 1)
+    return Measurement(_run_on_pe0(world, frag), iters)
 
 
 def _post(pe, kind, nbytes):
@@ -137,7 +112,7 @@ def _post(pe, kind, nbytes):
 
 def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
                         nbytes: int, iters: int = DEFAULT_INNER_REPS,
-                        strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> P2PResult:
+                        strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> Measurement:
     """The four non-blocking measurement shapes.
 
     Full: post immediately followed by quiet.
@@ -150,6 +125,7 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
         raise ValueError(f"kind must be get or put, not {kind!r}")
     if variant not in ("full", "post", "quiet", "overlap"):
         raise ValueError(f"unknown variant {variant!r}")
+    check_iters(iters)
     flags: list[str] = []
 
     if variant == "full":
@@ -159,8 +135,7 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
                 yield from pe.quiet()
             return (yield from _timed_loop(pe, body, iters, strategy))
 
-        mean = _run_on_pe0(world, frag)
-        return P2PResult(mean, iters, strategy, nbytes)
+        return Measurement(_run_on_pe0(world, frag), iters)
 
     if variant == "post":
         def frag(pe):
@@ -170,54 +145,49 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
             yield from pe.quiet()  # drain outside the timed region
             return m
 
-        mean = _run_on_pe0(world, frag)
-        return P2PResult(mean, iters, strategy, nbytes)
+        return Measurement(_run_on_pe0(world, frag), iters)
 
     if variant == "quiet":
         # subtraction method: full loop time minus the pilot post cost
         post = measure_nonblocking(world, kind, "post", nbytes, iters, strategy)
         full = measure_nonblocking(world, kind, "full", nbytes, iters,
                                    TimingStrategy.GLOBAL_LOOP)
-        mean = full.mean - post.mean
+        mean = full.result - post.result
         if mean < 0:
             mean = 0.0
             flags.append("unstable")
-        return P2PResult(mean, iters, strategy, nbytes,
-                         components={"full": full.mean, "post": post.mean},
-                         flags=flags)
+        return Measurement(mean, iters, flags,
+                           {"full": full.result, "post": post.result})
 
     # overlap
     pilot = _pilot_full(world, kind, nbytes, iters)
     if pilot["rel_sigma"] > UNSTABLE_REL_SIGMA:
         flags.append("unstable_pilot")
     full_mean = pilot["mean"]
-    waited = {}
+    waited = []
 
     def frag(pe):
         def body(i):
             yield from _post(pe, kind, nbytes)
-            dt = yield from pe.busy_wait(2.0 * full_mean)
-            waited[i] = dt
+            waited.append((yield from pe.busy_wait(2.0 * full_mean)))
             yield from pe.quiet()
         return (yield from _timed_loop(pe, body, iters, strategy))
 
     loop_mean = _run_on_pe0(world, frag)
-    wait_mean = sum(waited.values()) / iters
+    wait_mean = sum(waited) / iters
     active = loop_mean - wait_mean
     if active < 0:
         active = 0.0
         flags.append("unstable")
-    return P2PResult(active, iters, strategy, nbytes,
-                     components={"full": full_mean, "loop": loop_mean,
-                                 "busy_wait": wait_mean,
-                                 "overlap_active": active},
-                     flags=flags)
+    return Measurement(active, iters, flags,
+                       {"full": full_mean, "loop": loop_mean,
+                        "busy_wait": wait_mean, "overlap_active": active})
 
 
 def _pilot_full(world: PgasWorld, kind: str, nbytes: int, iters: int,
                 reps: int = 4) -> dict:
     vals = [measure_nonblocking(world, kind, "full", nbytes, iters,
-                                TimingStrategy.GLOBAL_LOOP).mean
+                                TimingStrategy.GLOBAL_LOOP).result
             for _ in range(reps)]
     mean = statistics.fmean(vals)
     sigma = statistics.stdev(vals) if len(vals) > 1 else 0.0

@@ -17,7 +17,7 @@ import operator
 import random
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable
 
 from .netmodel import (ClockModel, NetworkModel, ProgressMode,
@@ -621,6 +621,7 @@ class PgasWorld:
         self._gens: list = []
         self._done: list[bool] = []
         self._blocked_why: list[str | None] = []
+        self.returned: list = [None] * npes  # each PE program's return value
         self._ran = False
 
     def fresh(self, jitter_seed: int | None = None) -> "PgasWorld":
@@ -678,8 +679,9 @@ class PgasWorld:
         while True:
             try:
                 req = gen.send(value) if hasattr(gen, "send") else next(gen)
-            except StopIteration:
+            except StopIteration as stop:
                 self._done[rank] = True
+                self.returned[rank] = stop.value
                 return
             if isinstance(req, _Advance):
                 if req.dt <= 0:
@@ -792,3 +794,38 @@ class PgasWorld:
 def idle(pe: Pe):
     """A PE program that does nothing."""
     return iter(())
+
+
+def run_fresh(template: PgasWorld, prog: Callable[[Pe], Generator],
+              ranks: Iterable[int] | None = None) -> PgasWorld:
+    """Run `prog` on `ranks` (every PE by default) of a fresh copy of
+    `template`, and `idle` on every other PE; returns the run world."""
+    w = template.fresh()
+    ranks = range(w.npes) if ranks is None else set(ranks)
+    w.run([prog if rank in ranks else idle for rank in range(w.npes)])
+    return w
+
+
+def check_iters(iters: int):
+    """Reject a loop count before any world is built for it."""
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+
+
+@dataclass
+class Measurement:
+    """One measured per-call time and the conditions under which it holds.
+
+    `result` is the time per call over `iterations` timed calls. `flags`
+    name a doubtful result (`unstable`: clamped at zero; `unstable_pilot`;
+    `invalid`: most windows overran), `components` hold the terms it was
+    derived from, `per_task` a per-PE estimate, `discarded` the overrun
+    windows, and `world` the run, kept only where trace checks need it.
+    """
+    result: float
+    iterations: int
+    flags: list[str] = field(default_factory=list)
+    components: dict[str, float] = field(default_factory=dict)
+    per_task: dict[int, float] = field(default_factory=dict)
+    discarded: int = 0
+    world: PgasWorld | None = None

@@ -9,9 +9,9 @@ the true clock parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .pgas import PgasWorld
+from .pgas import Measurement, PgasWorld, check_iters, run_fresh
 
 OFFSET_PROBE_REPS = 16
 
@@ -27,7 +27,6 @@ class SyncState:
     offsets: list[float]
     window_len: float = 0.0
     slot0: float = 0.0
-    discarded: int = 0
 
     def __post_init__(self):
         if self.offsets and self.offsets[0] != 0.0:
@@ -57,13 +56,8 @@ def offset_probe_fragment(pe, state: SyncState, reps: int = OFFSET_PROBE_REPS):
 
 def estimate_offsets(world: PgasWorld, reps: int = OFFSET_PROBE_REPS) -> SyncState:
     """Run the offset-estimation protocol in a fresh world."""
-    w = world.fresh()
-    state = SyncState(offsets=[0.0] * w.npes)
-
-    def prog(pe):
-        yield from offset_probe_fragment(pe, state, reps)
-
-    w.run([prog] * w.npes)
+    state = SyncState(offsets=[0.0] * world.npes)
+    run_fresh(world, lambda pe: offset_probe_fragment(pe, state, reps))
     return state
 
 
@@ -75,10 +69,9 @@ def start_synchronization(pe, state: SyncState, i: int):
     return t1, overrun
 
 
-def stop_synchronization(pe, state: SyncState, i: int):
-    """Post-operation stamp; the next measurement uses slot i+1."""
-    t2 = yield from pe.stamp_end()
-    return t2
+def stop_synchronization(pe):
+    """Post-operation stamp; the next measurement uses the next slot."""
+    return (yield from pe.stamp_end())
 
 
 def heap_footprint(nbytes: int) -> int:
@@ -87,14 +80,13 @@ def heap_footprint(nbytes: int) -> int:
     return 0
 
 
-def measure_barrier_time(world: PgasWorld, iters: int = 100) -> float:
+def measure_barrier_time(world: PgasWorld, iters: int = 100) -> Measurement:
     """Mean cost of a barrier among already-synchronized PEs.
 
     Times `iters` back-to-back barriers with one global timer pair on PE 0
     after an alignment barrier.
     """
-    w = world.fresh()
-    out = {}
+    check_iters(iters)
 
     def prog(pe):
         yield from pe.barrier()
@@ -104,7 +96,6 @@ def measure_barrier_time(world: PgasWorld, iters: int = 100) -> float:
             yield from pe.barrier()
         if pe.rank == 0:
             t2 = yield from pe.stamp_end()
-            out["mean"] = (t2 - t1) / iters
+            return (t2 - t1) / iters
 
-    w.run([prog] * w.npes)
-    return out["mean"]
+    return Measurement(run_fresh(world, prog).returned[0], iters)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from shmembench import (BcastAlgo, NetworkModel, PgasWorld,
-                        ground_truth_bcast_span, measure_bcast_barrier,
-                        measure_bcast_naive, measure_bcast_rounds,
-                        measure_bcast_sk, measure_bcast_sync)
+from shmembench import (NetworkModel, PgasWorld, ground_truth_bcast_span,
+                        measure_bcast_barrier, measure_bcast_naive,
+                        measure_bcast_rounds, measure_bcast_sk,
+                        measure_bcast_sync)
 
 O_S, O_R, L_WIRE, G = 1e-7, 1e-7, 1e-6, 1e-9
 LEG = O_S + L_WIRE + O_R

@@ -13,7 +13,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 run_until_stable)
 from shmembench.harness import runner
 from shmembench.harness.cli import main as cli_main
-from shmembench.pgas import DEFAULT_HEAP_SIZE
+from shmembench.pgas import DEFAULT_HEAP_SIZE, Measurement
 
 BASE_CONFIG = """
 [network.intra]
@@ -309,9 +309,13 @@ class TestReplay:
         cfg = parse_config(JITTER_FREE_CONFIG)
         (spec,) = [s for s in cfg.measurements if s.type == kind]
         run = MEASUREMENT_TYPES[kind].run
-        values = [run(runner._build_world(cfg, spec, 1024, seed), spec, 1024)
-                  for seed in (1, 2 ** 63 + 12345)]
-        assert values[0] == values[1]
+        # the whole record, flags and all, not only the value the harness
+        # replays; the run world itself differs by identity
+        records = [dataclasses.replace(run(runner._build_world(
+            cfg, spec, 1024, seed), spec, 1024), world=None)
+            for seed in (1, 2 ** 63 + 12345)]
+        assert isinstance(records[0], Measurement)
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("network,runs", [("exact", 1), ("jittered", 3)])
     def test_row_calls_run_once_per_simulated_repetition(

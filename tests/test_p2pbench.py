@@ -21,14 +21,14 @@ class TestBlocking:
     @pytest.mark.parametrize("nbytes", [1, 8, 1024, 65536])
     def test_get_is_request_plus_response(self, nbytes):
         r = measure_blocking(_world(), "get", nbytes, iters=16)
-        assert r.mean == pytest.approx(2 * LEG + G * nbytes, rel=1e-12)
+        assert r.result == pytest.approx(2 * LEG + G * nbytes, rel=1e-12)
 
     def test_put_subtracts_quiet_calibration(self):
         # (put; quiet) costs leg + G*n + q0; the 1-byte calibration costs
         # leg + G + q0; the reported put time is their difference
         n = 4096
         r = measure_blocking(_world(), "put", n, iters=16)
-        assert r.mean == pytest.approx(G * (n - 1), rel=1e-9)
+        assert r.result == pytest.approx(G * (n - 1), rel=1e-9)
         assert r.components["quiet"] == pytest.approx(LEG + G + Q0, rel=1e-12)
         assert not r.flags
 
@@ -45,32 +45,32 @@ class TestTimerStrategies:
         p = measure_blocking(w, "get", n, iters, TimingStrategy.PER_ITERATION)
         # the global pair amortizes its two reads over the loop
         expected = 2 * oh * (1 - 1.0 / iters)
-        assert p.mean - g.mean == pytest.approx(expected, rel=1e-9)
+        assert p.result - g.result == pytest.approx(expected, rel=1e-9)
 
     def test_overhead_gap_vanishes_for_large_payloads(self):
         oh, n = 5e-8, 1 << 20
         w = _world(overhead=oh)
         g = measure_blocking(w, "get", n, 8, TimingStrategy.GLOBAL_LOOP)
         p = measure_blocking(w, "get", n, 8, TimingStrategy.PER_ITERATION)
-        assert (p.mean - g.mean) / p.mean < 1e-3
+        assert (p.result - g.result) / p.result < 1e-3
 
 
 class TestNonBlocking:
     @pytest.mark.parametrize("nbytes", [1, 1024, 1 << 20])
     def test_post_cost_is_send_overhead_only(self, nbytes):
         r = measure_nonblocking(_world(), "put", "post", nbytes, iters=16)
-        assert r.mean == pytest.approx(O_S, rel=1e-12)
+        assert r.result == pytest.approx(O_S, rel=1e-12)
 
     def test_quiet_variant_is_full_minus_post(self):
         r = measure_nonblocking(_world(), "put", "quiet", 4096, iters=16)
-        assert r.mean == pytest.approx(
+        assert r.result == pytest.approx(
             r.components["full"] - r.components["post"], rel=1e-12)
-        assert r.mean > 0
+        assert r.result > 0
 
     def test_full_put_nbi_quiet_cycle(self):
         n = 4096
         r = measure_nonblocking(_world(), "put", "full", n, iters=16)
-        assert r.mean == pytest.approx(O_S + L_WIRE + G * n + O_R + Q0, rel=1e-12)
+        assert r.result == pytest.approx(O_S + L_WIRE + G * n + O_R + Q0, rel=1e-12)
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ class TestOverlap:
         actives = []
         for n in (8, 65536, 1 << 20):
             r = measure_nonblocking(w, kind, "overlap", n, iters=8)
-            actives.append(r.mean)
+            actives.append(r.result)
         lo, hi = min(actives), max(actives)
         assert (hi - lo) / hi < 0.10
 
@@ -93,7 +93,7 @@ class TestOverlap:
         w = _world()
         full = measure_nonblocking(w, "put", "full", n, iters=8)
         over = measure_nonblocking(w, "put", "overlap", n, iters=8)
-        assert over.mean < 0.05 * full.mean
+        assert over.result < 0.05 * full.result
 
     def test_on_quiet_cannot_overlap(self):
         # deferred transfers launch inside quiet, after the busy wait, so
@@ -102,13 +102,13 @@ class TestOverlap:
         w = _world(progress=ProgressMode.ON_QUIET)
         full = measure_nonblocking(w, "put", "full", n, iters=8)
         over = measure_nonblocking(w, "put", "overlap", n, iters=8)
-        assert over.mean == pytest.approx(full.mean, rel=0.05)
+        assert over.result == pytest.approx(full.result, rel=0.05)
 
 
 class TestQuietAndCalibration:
     def test_quiet_measurement(self):
         r = measure_quiet(_world(), iters=16)
-        assert r.mean == pytest.approx(LEG + G + Q0, rel=1e-12)
+        assert r.result == pytest.approx(LEG + G + Q0, rel=1e-12)
 
     def test_busy_wait_rate(self):
         rate = calibrate_busy_wait(_world(), units=10000)

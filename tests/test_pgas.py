@@ -3,7 +3,8 @@
 import pytest
 
 from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
-                        PgasWorld, ProgressMode, PutReturnPolicy)
+                        PgasWorld, ProgressMode, PutReturnPolicy, run_fresh)
+from shmembench.pgas import idle
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
@@ -295,6 +296,40 @@ class TestDeterminism:
         world.run([lambda pe: iter(())])
         with pytest.raises(Exception):
             world.run([lambda pe: iter(())])
+
+
+class TestRunFresh:
+    """`run_fresh` runs one program on a copy of a template world and keeps
+    what each PE program returned."""
+
+    @staticmethod
+    def _rank_after_a_put(pe):
+        yield from pe.put((pe.rank + 1) % pe.world.npes, 0, 8)
+        return pe.rank * 10
+
+    def test_returned_holds_each_program_value(self):
+        world = PgasWorld(3, NET)
+        world.run([self._rank_after_a_put, idle, self._rank_after_a_put])
+        assert world.returned == [0, None, 20]
+
+    def test_template_stays_unrun_and_other_ranks_idle(self):
+        template = PgasWorld(3, NET)
+        w = run_fresh(template, self._rank_after_a_put, ranks=(1,))
+        assert w is not template and w.npes == 3
+        assert w.returned == [None, 10, None]
+        assert {e.pe for e in w.trace.entries} == {1}  # only PE 1 put
+        assert template.returned == [None] * 3 and not template.trace.entries
+        template.run([idle] * 3)  # still runnable: the run used a copy
+        assert run_fresh(template, self._rank_after_a_put).returned == [
+            0, 10, 20]
+
+    def test_deadlock_still_raises(self):
+        def prog(pe):
+            yield from pe.wait_until(0, "eq", 1)
+
+        with pytest.raises(DeadlockError) as ei:
+            run_fresh(PgasWorld(2, NET), prog, ranks=(1,))
+        assert set(ei.value.blocked) == {1}
 
 
 class TestTrace:

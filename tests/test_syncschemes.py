@@ -72,7 +72,7 @@ class TestWindows:
         def prog(pe):
             t1, over = yield from start_synchronization(pe, state, 0)
             assert not over
-            t2 = yield from stop_synchronization(pe, state, 0)
+            t2 = yield from stop_synchronization(pe)
             stamps[pe.rank] = (t1, t2)
 
         w.run([prog] * 4)
@@ -99,9 +99,9 @@ class TestBarrierCalibration:
         # dissemination with P=4 is two fully symmetric rounds; back-to-back
         # barriers cannot pipeline into each other, so the steady-state
         # period equals the isolated span of 2 legs
-        t = measure_barrier_time(w, iters=50)
+        t = measure_barrier_time(w, iters=50).result
         assert t == pytest.approx(2 * LEG, rel=1e-9)
 
     def test_single_pe_barrier_is_free(self):
-        t = measure_barrier_time(_world(npes=1), iters=10)
+        t = measure_barrier_time(_world(npes=1), iters=10).result
         assert t == 0.0
