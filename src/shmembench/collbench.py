@@ -29,11 +29,11 @@ def sk_heap_footprint(nbytes: int) -> int:
     return max(nbytes, ACK_OFFSET + INT_SIZE)
 
 
-def ground_truth_bcast_span(world: PgasWorld, nbytes: int, root: int = 0) -> float:
-    """True span of one isolated broadcast with simultaneous entry."""
+def ground_truth_bcast_span(world: PgasWorld, nbytes: int) -> float:
+    """True span of one isolated PE-0 broadcast with simultaneous entry."""
 
     def prog(pe):
-        yield from pe.broadcast(root, BUF_OFFSET, nbytes)
+        yield from pe.broadcast(0, BUF_OFFSET, nbytes)
 
     return run_fresh(world, prog).trace.bcast_span(0)
 
@@ -57,12 +57,12 @@ def measure_bcast_naive(world: PgasWorld, nbytes: int,
     return Measurement(run_fresh(world, prog).returned[0], iters)
 
 
-def measure_bcast_barrier(world: PgasWorld, nbytes: int, iters: int = 32,
-                          barrier_iters: int = 100) -> Measurement:
+def measure_bcast_barrier(world: PgasWorld, nbytes: int,
+                          iters: int = 32) -> Measurement:
     """Separate consecutive broadcasts with a barrier and subtract the
-    separately calibrated barrier cost."""
+    barrier cost, calibrated over 100 barriers."""
     check_iters(iters)
-    t_barrier = measure_barrier_time(world, barrier_iters).result
+    t_barrier = measure_barrier_time(world, 100).result
 
     def prog(pe):
         yield from pe.barrier()
@@ -105,6 +105,7 @@ def measure_bcast_sync(world: PgasWorld, nbytes: int, iters: int = 32,
                        probe_reps: int = 16) -> Measurement:
     """Each iteration bracketed by window start/stop synchronization."""
     check_iters(iters)
+    check_iters(probe_reps, "probe_reps")
     if window_len is None:
         window_len = _pilot_window(world, nbytes)
     state = SyncState(offsets=[0.0] * world.npes, window_len=window_len)
@@ -137,6 +138,7 @@ def measure_bcast_rounds(world: PgasWorld, nbytes: int,
                          probe_reps: int = 16) -> Measurement:
     """One synchronized window around a loop of broadcasts with rotating
     root; the window span divided by the PE count."""
+    check_iters(probe_reps, "probe_reps")
     if window_len is None:
         window_len = _pilot_window(world, nbytes) * world.npes
     state = SyncState(offsets=[0.0] * world.npes, window_len=window_len)

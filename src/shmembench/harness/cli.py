@@ -11,7 +11,7 @@ import sys
 
 from ..pgas import DeadlockError
 from .config import MEASUREMENT_TYPES, ConfigError, parse_config
-from .runner import emit_results, ground_truth_report, run_config
+from .runner import FORMATS, emit_results, ground_truth_report, run_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,7 +20,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulated one-sided-communication benchmark driver")
     parser.add_argument("--config", help="path to the benchmark config file")
     parser.add_argument("--output", help="write results here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "jsonl"),
+    parser.add_argument("--format", choices=FORMATS,
                         help="result format (default: config, then csv)")
     parser.add_argument("--seed", type=int,
                         help="override the config's base seed (u64)")

@@ -2,7 +2,9 @@
 
 Sections: `[network.<name>]` (one per model preset), `[clock]`, `[run]`,
 and `[measurement.<name>]` (one per measurement; at least one required).
-Duration values accept s/ms/us/ns suffixes; bare numbers are seconds.
+`SECTION_KEYS` holds one table per section, `key -> (attribute, parser)`;
+a section's keys are parsed in table order. Duration values accept
+s/ms/us/ns suffixes; bare numbers are seconds.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 from ..netmodel import NetworkModel, ProgressMode, PutReturnPolicy
-from ..pgas import DEFAULT_HEAP_SIZE
-from .runner import MEASUREMENT_TYPES
+from ..p2pbench import TimingStrategy
+from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
+                    BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE)
+from .runner import FORMATS, MEASUREMENT_TYPES
 
 
 class ConfigError(ValueError):
@@ -22,17 +26,6 @@ class ConfigError(ValueError):
 
 
 _DURATION_SUFFIXES = (("ns", 1e-9), ("us", 1e-6), ("ms", 1e-3), ("s", 1.0))
-
-_PROGRESS = {"background": ProgressMode.BACKGROUND,
-             "on_quiet": ProgressMode.ON_QUIET}
-_PUT_RETURN = {"local": PutReturnPolicy.LOCAL_COMPLETION,
-               "remote": PutReturnPolicy.REMOTE_COMPLETION}
-
-_STRATEGIES = ("global_loop", "per_iteration")
-_TOPOLOGIES = ("binomial", "linear")
-_BARRIERS = ("dissemination", "reduce_bcast")
-_EXPECTS = ("exact", "biased_low")
-_FORMATS = ("csv", "jsonl")
 
 
 def parse_duration(text: str, line: int | None = None) -> float:
@@ -58,9 +51,9 @@ class MeasurementSpec:
     network: str = ""
     nbytes: list[int] = field(default_factory=lambda: [8])
     iters: int = 64
-    strategy: str = "global_loop"
-    algo: str = "binomial"           # broadcast topology
-    barrier: str = "dissemination"   # barrier algorithm
+    strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP
+    algo: str = BCAST_BINOMIAL            # broadcast topology
+    barrier: str = BARRIER_DISSEMINATION  # barrier algorithm
     barrier_root: int = 0
     M: int = 16                      # acknowledged-broadcast inner length
     window_len: float | None = None
@@ -85,30 +78,141 @@ class BenchConfig:
     timer_overhead: float = 0.0
 
 
-def _scalar_or_list(value: str, conv):
-    parts = [p.strip() for p in value.split(",")]
-    items = [conv(p) for p in parts]
-    return items[0] if len(items) == 1 else items
-
-
-def _int(value: str, line: int) -> int:
+def _int(text: str, line: int) -> int:
     try:
-        return int(value, 0)
+        return int(text, 0)
     except ValueError:
-        raise ConfigError(f"bad integer {value!r}", line) from None
+        raise ConfigError(f"bad integer {text!r}", line) from None
 
 
-def _float(value: str, line: int) -> float:
+def _float(text: str, line: int) -> float:
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"bad number {value!r}", line) from None
+        raise ConfigError(f"bad number {text!r}", line) from None
 
 
-def _enum(value: str, allowed, line: int) -> str:
-    if value not in allowed:
-        raise ConfigError(f"{value!r} not one of {', '.join(sorted(allowed))}", line)
+def _finite(text: str, line: int) -> float:
+    value = _float(text, line)
+    if not math.isfinite(value):
+        raise ConfigError(f"bad number {text!r}", line)
     return value
+
+
+def _choice(choices):
+    """A parser of one of `choices`: names, or an Enum whose values are the
+    names; it returns the name, or the Enum member."""
+    by_name = {getattr(c, "value", c): c for c in choices}
+
+    def parse(text, line):
+        if text not in by_name:
+            raise ConfigError(
+                f"{text!r} not one of {', '.join(sorted(by_name))}", line)
+        return by_name[text]
+    return parse
+
+
+def _at_least(parse, key: str, low: int):
+    def parse_at_least(text, line):
+        value = parse(text, line)
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}", line)
+        return value
+    return parse_at_least
+
+
+def _per_pe(parse):
+    """A parser of one value for every PE, or of a comma-separated list
+    with one value per PE."""
+    def parse_per_pe(text, line):
+        items = [parse(part.strip(), line) for part in text.split(",")]
+        return items[0] if len(items) == 1 else items
+    return parse_per_pe
+
+
+def _sweep(text: str, line: int) -> list[int]:
+    sweep = [_int(part.strip(), line) for part in text.split(",")]
+    if sorted(sweep) != sweep or len(set(sweep)) != len(sweep):
+        raise ConfigError("nbytes sweep must be ascending", line)
+    if sweep[0] < 0:
+        raise ConfigError(f"nbytes must be >= 0, got {sweep[0]}", line)
+    return sweep
+
+
+def _drift(text: str, line: int) -> list[float] | float:
+    drift = _per_pe(_float)(text, line)
+    if not all(-1 < d < math.inf
+               for d in (drift if isinstance(drift, list) else [drift])):
+        raise ConfigError("drift must be > -1 and finite on every PE", line)
+    return drift
+
+
+def _timer_overhead(text: str, line: int) -> float:
+    value = parse_duration(text, line)
+    if value < 0:
+        raise ConfigError("timer_overhead must be >= 0", line)
+    return value
+
+
+# Per section, in parse order: config key -> (attribute, parser). Network
+# attributes are `NetworkModel` fields, clock and run ones `BenchConfig`
+# fields, measurement ones `MeasurementSpec` fields.
+SECTION_KEYS = {
+    "network": {
+        "o_s": ("o_s", parse_duration),
+        "o_r": ("o_r", parse_duration),
+        "L": ("L", parse_duration),
+        "g": ("g", parse_duration),
+        "G": ("G", parse_duration),
+        "quiet_base": ("quiet_base", parse_duration),
+        "jitter": ("jitter_half_width", parse_duration),
+        "progress": ("progress_mode", _choice(ProgressMode)),
+        "put_return": ("put_return_policy", _choice(PutReturnPolicy)),
+    },
+    "clock": {
+        "drift": ("drift", _drift),
+        "offset": ("offset", _per_pe(parse_duration)),
+        "timer_overhead": ("timer_overhead", _timer_overhead),
+    },
+    "run": {
+        "npes": ("npes", _int),
+        "seed": ("seed", _int),
+        "sigma_threshold": ("sigma_threshold", _finite),
+        "max_reps": ("max_reps", _at_least(_int, "max_reps", 2)),
+        "tolerance": ("tolerance", _finite),
+        "format": ("out_format", _choice(FORMATS)),
+    },
+    "measurement": {
+        "type": ("type", _choice(MEASUREMENT_TYPES)),
+        "network": ("network", lambda text, line: text),
+        "nbytes": ("nbytes", _sweep),
+        "iters": ("iters", _at_least(_int, "iters", 1)),
+        "strategy": ("strategy", _choice(TimingStrategy)),
+        "algo": ("algo", _choice((BCAST_BINOMIAL, BCAST_LINEAR))),
+        "barrier": ("barrier", _choice((BARRIER_DISSEMINATION,
+                                        BARRIER_REDUCE_BCAST))),
+        "barrier_root": ("barrier_root", _int),
+        "M": ("M", _int),
+        "window_len": ("window_len", parse_duration),
+        "expect": ("expect", _choice(("exact", "biased_low"))),
+        "npes": ("npes", _int),
+        "home_pe": ("home_pe", _int),
+        "requester_pe": ("requester_pe", _int),
+    },
+}
+
+
+def _apply(keys: dict[str, tuple[int, str]], section: str) -> dict:
+    """Parse the keys present, in the order of their section's table, into
+    `{attribute: value}`; then reject any key the table does not name."""
+    values = {}
+    for key, (attribute, parse) in SECTION_KEYS[section.split(".")[0]].items():
+        if key in keys:
+            lineno, text = keys.pop(key)
+            values[attribute] = parse(text, lineno)
+    for key, (lineno, _) in keys.items():
+        raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+    return values
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -142,20 +246,24 @@ def parse_config(text: str) -> BenchConfig:
 
     networks: dict[str, NetworkModel] = {}
     measurements: list[MeasurementSpec] = []
-    cfg = BenchConfig(networks=networks, measurements=measurements)
-
+    settings = {}
     for section, (header_line, keys) in sections.items():
         if section.startswith("network."):
-            networks[section[len("network."):]] = _parse_network(keys)
-        elif section == "clock":
-            _parse_clock(cfg, keys)
-        elif section == "run":
-            _parse_run(cfg, keys)
+            params = _apply(keys, section)
+            try:
+                networks[section[len("network."):]] = NetworkModel(**params)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
+        elif section in ("clock", "run"):
+            settings.update(_apply(keys, section))
         elif section.startswith("measurement."):
-            measurements.append(
-                _parse_measurement(section[len("measurement."):], keys))
+            name = section[len("measurement."):]
+            if "type" not in keys:
+                raise ConfigError(f"measurement.{name}: missing `type`")
+            measurements.append(MeasurementSpec(name, **_apply(keys, section)))
         else:
             raise ConfigError(f"unknown section [{section}]", header_line)
+    cfg = BenchConfig(networks, measurements, **settings)
 
     if not measurements:
         raise ConfigError("no measurements")
@@ -202,132 +310,3 @@ def _check_spec(cfg: BenchConfig, spec: MeasurementSpec) -> None:
     problem = mtype.check(spec, npes)
     if problem:
         raise ConfigError(f"{where}: {problem}")
-
-
-def _pop(keys, name, default=None):
-    return keys.pop(name, (None, default))
-
-
-def _reject_unknown(keys, where):
-    for key, (lineno, _) in keys.items():
-        raise ConfigError(f"unknown key {key!r} in [{where}]", lineno)
-
-
-def _parse_network(keys) -> NetworkModel:
-    params = {}
-    for field_name in ("o_s", "o_r", "L", "g", "G", "quiet_base", "jitter"):
-        lineno, value = _pop(keys, field_name)
-        if value is not None:
-            target = "jitter_half_width" if field_name == "jitter" else field_name
-            params[target] = parse_duration(value, lineno)
-    lineno, value = _pop(keys, "progress")
-    if value is not None:
-        params["progress_mode"] = _PROGRESS[_enum(value, _PROGRESS, lineno)]
-    lineno, value = _pop(keys, "put_return")
-    if value is not None:
-        params["put_return_policy"] = _PUT_RETURN[_enum(value, _PUT_RETURN, lineno)]
-    _reject_unknown(keys, "network")
-    try:
-        return NetworkModel(**params)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _parse_clock(cfg: BenchConfig, keys) -> None:
-    lineno, value = _pop(keys, "drift")
-    if value is not None:
-        cfg.drift = _scalar_or_list(value, lambda v: _float(v, lineno))
-        drifts = cfg.drift if isinstance(cfg.drift, list) else [cfg.drift]
-        if not all(-1 < d < math.inf for d in drifts):
-            raise ConfigError("drift must be > -1 and finite on every PE",
-                              lineno)
-    lineno, value = _pop(keys, "offset")
-    if value is not None:
-        cfg.offset = _scalar_or_list(value,
-                                    lambda v: parse_duration(v, lineno))
-    lineno, value = _pop(keys, "timer_overhead")
-    if value is not None:
-        cfg.timer_overhead = parse_duration(value, lineno)
-        if cfg.timer_overhead < 0:
-            raise ConfigError("timer_overhead must be >= 0", lineno)
-    _reject_unknown(keys, "clock")
-
-
-def _parse_run(cfg: BenchConfig, keys) -> None:
-    lineno, value = _pop(keys, "npes")
-    if value is not None:
-        cfg.npes = _int(value, lineno)
-    lineno, value = _pop(keys, "seed")
-    if value is not None:
-        cfg.seed = _int(value, lineno)
-    lineno, value = _pop(keys, "sigma_threshold")
-    if value is not None:
-        cfg.sigma_threshold = _float(value, lineno)
-    lineno, value = _pop(keys, "max_reps")
-    if value is not None:
-        cfg.max_reps = _int(value, lineno)
-        if cfg.max_reps < 2:
-            raise ConfigError("max_reps must be >= 2", lineno)
-    lineno, value = _pop(keys, "tolerance")
-    if value is not None:
-        cfg.tolerance = _float(value, lineno)
-    lineno, value = _pop(keys, "format")
-    if value is not None:
-        cfg.out_format = _enum(value, _FORMATS, lineno)
-    _reject_unknown(keys, "run")
-
-
-def _parse_measurement(name: str, keys) -> MeasurementSpec:
-    lineno, value = _pop(keys, "type")
-    if value is None:
-        raise ConfigError(f"measurement.{name}: missing `type`")
-    spec = MeasurementSpec(name=name,
-                           type=_enum(value, MEASUREMENT_TYPES, lineno))
-    lineno, value = _pop(keys, "network")
-    if value is not None:
-        spec.network = value
-    lineno, value = _pop(keys, "nbytes")
-    if value is not None:
-        sweep = [_int(p.strip(), lineno) for p in value.split(",")]
-        if not sweep or sorted(sweep) != sweep or len(set(sweep)) != len(sweep):
-            raise ConfigError("nbytes sweep must be ascending", lineno)
-        if sweep[0] < 0:
-            raise ConfigError(f"nbytes must be >= 0, got {sweep[0]}", lineno)
-        spec.nbytes = sweep
-    lineno, value = _pop(keys, "iters")
-    if value is not None:
-        spec.iters = _int(value, lineno)
-        if spec.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {spec.iters}", lineno)
-    lineno, value = _pop(keys, "strategy")
-    if value is not None:
-        spec.strategy = _enum(value, _STRATEGIES, lineno)
-    lineno, value = _pop(keys, "algo")
-    if value is not None:
-        spec.algo = _enum(value, _TOPOLOGIES, lineno)
-    lineno, value = _pop(keys, "barrier")
-    if value is not None:
-        spec.barrier = _enum(value, _BARRIERS, lineno)
-    lineno, value = _pop(keys, "barrier_root")
-    if value is not None:
-        spec.barrier_root = _int(value, lineno)
-    lineno, value = _pop(keys, "M")
-    if value is not None:
-        spec.M = _int(value, lineno)
-    lineno, value = _pop(keys, "window_len")
-    if value is not None:
-        spec.window_len = parse_duration(value, lineno)
-    lineno, value = _pop(keys, "expect")
-    if value is not None:
-        spec.expect = _enum(value, _EXPECTS, lineno)
-    lineno, value = _pop(keys, "npes")
-    if value is not None:
-        spec.npes = _int(value, lineno)
-    lineno, value = _pop(keys, "home_pe")
-    if value is not None:
-        spec.home_pe = _int(value, lineno)
-    lineno, value = _pop(keys, "requester_pe")
-    if value is not None:
-        spec.requester_pe = _int(value, lineno)
-    _reject_unknown(keys, f"measurement.{name}")
-    return spec

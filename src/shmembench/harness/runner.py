@@ -15,10 +15,9 @@ from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                          measure_bcast_sk, measure_bcast_sync)
 from ..lockbench import LockScenario, measure_lock
 from ..netmodel import ClockModel, NetworkModel
-from ..p2pbench import (DST_OFFSET, SRC_OFFSET, TimingStrategy,
-                        measure_blocking, measure_nonblocking, measure_quiet)
-from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST, Measurement,
-                    PgasWorld, idle)
+from ..p2pbench import (DST_OFFSET, SRC_OFFSET, measure_blocking,
+                        measure_nonblocking, measure_quiet)
+from ..pgas import Measurement, PgasWorld, idle
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
 
@@ -27,10 +26,8 @@ if TYPE_CHECKING:
 
 CSV_FIELDS = ("name", "nbytes", "algo", "mean", "stddev", "samples",
               "ground_truth", "relative_error")
+FORMATS = ("csv", "jsonl")
 EPSILON = 1e-15
-
-_BARRIER = {"dissemination": BARRIER_DISSEMINATION,
-            "reduce_bcast": BARRIER_REDUCE_BCAST}
 
 
 def _runs_anywhere(spec, npes):
@@ -89,17 +86,15 @@ def _p2p_span(new_world, op, nbytes, part):
 
 
 def _p2p(measure, truth, sweeps_bytes=True):
-    """`measure(world, spec, nbytes, strategy)` measures once."""
-    return MeasurementType(
-        lambda w, s, n: measure(w, s, n, TimingStrategy(s.strategy)),
-        truth, p2pbench.heap_footprint, sweeps_bytes, min_npes=2)
+    return MeasurementType(measure, truth, p2pbench.heap_footprint,
+                           sweeps_bytes, min_npes=2)
 
 
 def _nbi(op, variant):
     truth = (_no_truth if variant == "overlap" else
              lambda net, new, s, n: _p2p_span(new, op + "_nbi", n, variant))
-    return _p2p(lambda w, s, n, st: measure_nonblocking(
-        w, op, variant, n, s.iters, st), truth)
+    return _p2p(lambda w, s, n: measure_nonblocking(
+        w, op, variant, n, s.iters, s.strategy), truth)
 
 
 def _bcast(measure, footprint=collbench.heap_footprint, check=_runs_anywhere):
@@ -154,12 +149,12 @@ def _lock(mode, round_trips=None):
 
 MEASUREMENT_TYPES: dict[str, MeasurementType] = {
     "blocking_get": _p2p(
-        lambda w, s, n, st: measure_blocking(w, "get", n, s.iters, st),
+        lambda w, s, n: measure_blocking(w, "get", n, s.iters, s.strategy),
         lambda net, new, s, n: _p2p_span(new, "get", n, "elapsed")),
     "blocking_put": _p2p(
-        lambda w, s, n, st: measure_blocking(w, "put", n, s.iters, st),
+        lambda w, s, n: measure_blocking(w, "put", n, s.iters, s.strategy),
         lambda net, new, s, n: _p2p_span(new, "put", n, "elapsed")),
-    "quiet": _p2p(lambda w, s, n, st: measure_quiet(w, s.iters, st),
+    "quiet": _p2p(lambda w, s, n: measure_quiet(w, s.iters, s.strategy),
                   lambda net, new, s, n: _p2p_span(new, "put_nbi", 1, "full"),
                   sweeps_bytes=False),
     "nbi_put_full": _nbi("put", "full"),
@@ -241,7 +236,7 @@ def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
     return PgasWorld(npes, cfg.networks[spec.network], clock,
                      heap_size=MEASUREMENT_TYPES[spec.type].footprint(nbytes),
                      bcast_topology=spec.algo,
-                     barrier_algo=_BARRIER[spec.barrier],
+                     barrier_algo=spec.barrier,
                      barrier_root=spec.barrier_root)
 
 
@@ -283,27 +278,23 @@ def _fmt(x: float) -> str:
 
 
 def emit_results(rows: list[ResultRow], format: str = "csv") -> str:
+    """CSV with a header line, or one JSON object per row; floats have 12
+    significant digits in both."""
     if not rows:
         raise ValueError("no rows to emit")
-    if format == "csv":
-        lines = [",".join(CSV_FIELDS)]
-        for r in rows:
-            lines.append(",".join([
-                r.name, str(r.nbytes), r.algo, _fmt(r.mean), _fmt(r.stddev),
-                str(r.samples), _fmt(r.ground_truth), _fmt(r.relative_error)]))
-        return "\n".join(lines) + "\n"
-    if format == "jsonl":
-        lines = []
-        for r in rows:
-            obj = {"name": r.name, "nbytes": r.nbytes, "algo": r.algo,
-                   "mean": float(_fmt(r.mean)),
-                   "stddev": float(_fmt(r.stddev)),
-                   "samples": r.samples,
-                   "ground_truth": float(_fmt(r.ground_truth)),
-                   "relative_error": float(_fmt(r.relative_error))}
-            lines.append(json.dumps(obj))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    lines = [",".join(CSV_FIELDS)] if format == "csv" else []
+    for r in rows:
+        values = [getattr(r, f) for f in CSV_FIELDS]
+        if format == "csv":
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in values))
+        else:
+            lines.append(json.dumps({
+                f: float(_fmt(v)) if isinstance(v, float) else v
+                for f, v in zip(CSV_FIELDS, values)}))
+    return "\n".join(lines) + "\n"
 
 
 def ground_truth_report(rows: list[ResultRow],

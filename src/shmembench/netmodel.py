@@ -18,7 +18,7 @@ class ProgressMode(Enum):
     """Whether posted non-blocking operations progress asynchronously."""
 
     BACKGROUND = "background"
-    ON_QUIET = "onquiet"
+    ON_QUIET = "on_quiet"
 
 
 class PutReturnPolicy(Enum):

@@ -1,9 +1,9 @@
 """Point-to-point measurement functions with selectable timing strategy.
 
-Three timing strategies cover the usual trade-off: a single timer pair
-around the whole loop, a timer pair per iteration, and the subtraction
-method for routines that can only run in the context of another call
-(quiet after a posted non-blocking operation).
+Two timing strategies cover the usual trade-off: a single timer pair
+around the whole loop, and a timer pair per iteration. Routines that can
+only run in the context of another call (quiet after a posted non-blocking
+operation) are measured by the subtraction method.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def heap_footprint(nbytes: int) -> int:
 class TimingStrategy(Enum):
     GLOBAL_LOOP = "global_loop"      # one timer pair outside the loop
     PER_ITERATION = "per_iteration"  # timer pair inside every iteration
-    SUBTRACT_POST = "subtract_post"  # time the loop, subtract pilot post cost
 
 
 def _timed_loop(pe, body, iters, strategy):
@@ -93,15 +92,7 @@ def measure_blocking(world: PgasWorld, kind: str, nbytes: int,
 def measure_quiet(world: PgasWorld, iters: int = DEFAULT_INNER_REPS,
                   strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP) -> Measurement:
     """Cost of a near-empty quiet: a 1-byte posted put then quiet."""
-    check_iters(iters)
-
-    def frag(pe):
-        def body(i):
-            yield from pe.put_nbi(1, DST_OFFSET, 1, src_offset=SRC_OFFSET)
-            yield from pe.quiet()
-        return (yield from _timed_loop(pe, body, iters, strategy))
-
-    return Measurement(_run_on_pe0(world, frag), iters)
+    return measure_nonblocking(world, "put", "full", 1, iters, strategy)
 
 
 def _post(pe, kind, nbytes):

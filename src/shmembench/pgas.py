@@ -64,7 +64,7 @@ DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
 BCAST_LINEAR = "linear"
 BCAST_BINOMIAL = "binomial"
 BARRIER_DISSEMINATION = "dissemination"
-BARRIER_REDUCE_BCAST = "reduce_broadcast"
+BARRIER_REDUCE_BCAST = "reduce_bcast"
 
 
 @dataclass
@@ -806,10 +806,10 @@ def run_fresh(template: PgasWorld, prog: Callable[[Pe], Generator],
     return w
 
 
-def check_iters(iters: int):
+def check_iters(iters: int, name: str = "iters"):
     """Reject a loop count before any world is built for it."""
     if iters < 1:
-        raise ValueError("iters must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -56,6 +56,7 @@ def offset_probe_fragment(pe, state: SyncState, reps: int = OFFSET_PROBE_REPS):
 
 def estimate_offsets(world: PgasWorld, reps: int = OFFSET_PROBE_REPS) -> SyncState:
     """Run the offset-estimation protocol in a fresh world."""
+    check_iters(reps, "reps")
     state = SyncState(offsets=[0.0] * world.npes)
     run_fresh(world, lambda pe: offset_probe_fragment(pe, state, reps))
     return state

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,15 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 run_until_stable)
 from shmembench.harness import runner
 from shmembench.harness.cli import main as cli_main
-from shmembench.pgas import DEFAULT_HEAP_SIZE, Measurement
+from shmembench.harness.config import (SECTION_KEYS, BenchConfig,
+                                       MeasurementSpec)
+from shmembench.netmodel import NetworkModel, ProgressMode, PutReturnPolicy
+from shmembench.p2pbench import TimingStrategy
+from shmembench.pgas import (BARRIER_REDUCE_BCAST, DEFAULT_HEAP_SIZE,
+                             Measurement)
+
+ROOT = Path(__file__).parent.parent
+EXAMPLES = ROOT / "examples.conf"
 
 BASE_CONFIG = """
 [network.intra]
@@ -50,6 +59,64 @@ class TestParseDuration:
     def test_non_finite_rejected(self, text):
         with pytest.raises(ConfigError, match="bad duration"):
             parse_duration(text)
+
+
+# (section, key) -> (value text, attribute, parsed value); every value
+# differs from the attribute's default.
+KEY_CASES = {
+    ("network", "o_s"): ("3us", "o_s", pytest.approx(3e-6, rel=1e-12)),
+    ("network", "o_r"): ("4us", "o_r", pytest.approx(4e-6, rel=1e-12)),
+    ("network", "L"): ("5us", "L", pytest.approx(5e-6, rel=1e-12)),
+    ("network", "g"): ("6us", "g", pytest.approx(6e-6, rel=1e-12)),
+    ("network", "G"): ("7ns", "G", pytest.approx(7e-9, rel=1e-12)),
+    ("network", "quiet_base"): ("8us", "quiet_base",
+                                pytest.approx(8e-6, rel=1e-12)),
+    ("network", "jitter"): ("9ns", "jitter_half_width",
+                            pytest.approx(9e-9, rel=1e-12)),
+    ("network", "progress"): ("on_quiet", "progress_mode",
+                              ProgressMode.ON_QUIET),
+    ("network", "put_return"): ("remote", "put_return_policy",
+                                PutReturnPolicy.REMOTE_COMPLETION),
+    ("clock", "drift"): ("0, 1e-6", "drift", [0.0, 1e-6]),
+    ("clock", "offset"): ("2us", "offset", pytest.approx(2e-6, rel=1e-12)),
+    ("clock", "timer_overhead"): ("20ns", "timer_overhead",
+                                  pytest.approx(2e-8, rel=1e-12)),
+    ("run", "npes"): ("3", "npes", 3),
+    ("run", "seed"): ("0x10", "seed", 16),
+    ("run", "sigma_threshold"): ("0.1", "sigma_threshold", 0.1),
+    ("run", "max_reps"): ("5", "max_reps", 5),
+    ("run", "tolerance"): ("0.5", "tolerance", 0.5),
+    ("run", "format"): ("jsonl", "out_format", "jsonl"),
+    ("measurement", "type"): ("bcast_rounds", "type", "bcast_rounds"),
+    ("measurement", "network"): ("wide", "network", "wide"),
+    ("measurement", "nbytes"): ("8, 64", "nbytes", [8, 64]),
+    ("measurement", "iters"): ("5", "iters", 5),
+    ("measurement", "strategy"): ("per_iteration", "strategy",
+                                  TimingStrategy.PER_ITERATION),
+    ("measurement", "algo"): ("linear", "algo", "linear"),
+    ("measurement", "barrier"): ("reduce_bcast", "barrier",
+                                 BARRIER_REDUCE_BCAST),
+    ("measurement", "barrier_root"): ("1", "barrier_root", 1),
+    ("measurement", "M"): ("3", "M", 3),
+    ("measurement", "window_len"): ("2us", "window_len",
+                                    pytest.approx(2e-6, rel=1e-12)),
+    ("measurement", "expect"): ("biased_low", "expect", "biased_low"),
+    ("measurement", "npes"): ("3", "npes", 3),
+    ("measurement", "home_pe"): ("1", "home_pe", 1),
+    ("measurement", "requester_pe"): ("0", "requester_pe", 0),
+}
+
+
+def _config_with(section, key, text):
+    """A two-PE config with one `bcast_sync` on network `n`, plus
+    `key = text` in `section`, in place of a line that sets `key`."""
+    sections = {"network": "[network.n]\nL = 1us\n",
+                "clock": "[clock]\n", "run": "[run]\n",
+                "measurement": "[measurement.m]\ntype = bcast_sync\n"
+                               "network = n\n"}
+    body = re.sub(rf"^{key} = .*\n", "", sections[section], flags=re.M)
+    sections[section] = body + f"{key} = {text}\n"
+    return "[network.wide]\nL = 2us\n" + "".join(sections.values())
 
 
 class TestParseConfig:
@@ -104,6 +171,66 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="needs npes >= 2"):
             parse_config(text)
         parse_config(text + "npes = 2\n")  # per-measurement override
+
+    @pytest.mark.parametrize("section,key", KEY_CASES,
+                             ids=[f"{s}.{k}" for s, k in KEY_CASES])
+    def test_every_key_reaches_its_attribute(self, section, key):
+        text, attribute, value = KEY_CASES[section, key]
+        cfg = parse_config(_config_with(section, key, text))
+        target, default = {
+            "network": (cfg.networks["n"], NetworkModel()),
+            "clock": (cfg, BenchConfig({}, [])),
+            "run": (cfg, BenchConfig({}, [])),
+            "measurement": (cfg.measurements[0],
+                            MeasurementSpec("m", "bcast_sync")),
+        }[section]
+        assert getattr(default, attribute) != value
+        assert getattr(target, attribute) == value
+
+    def test_every_key_has_a_case(self):
+        assert sorted(KEY_CASES) == sorted(
+            (section, key) for section, table in SECTION_KEYS.items()
+            for key in table)
+
+    def test_keys_parse_in_table_order_before_unknown_keys(self):
+        text = ("[network.n]\nL = 1us\n[measurement.m]\ntype = quiet\n"
+                "bogus = 1\niters = 0\n")
+        with pytest.raises(ConfigError,
+                           match=r"^line 6: iters must be >= 1, got 0$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("choice", [0, 1])
+    def test_examples_parse_with_every_commented_key(self, choice):
+        """Each `# key = value` line of examples.conf, uncommented; `a | b`
+        values are the choices, taken in turn."""
+        def uncomment(match):
+            key, value = match.group(1), match.group(2).split("#")[0]
+            options = [option.strip() for option in value.split("|")]
+            return f"{key} = {options[min(choice, len(options) - 1)]}"
+
+        text, count = re.subn(r"^# (\w+) = (.*)$", uncomment,
+                              EXAMPLES.read_text(), flags=re.M)
+        assert count == 6
+        net = parse_config(text).networks["intra"]
+        assert net.progress_mode == [ProgressMode.BACKGROUND,
+                                     ProgressMode.ON_QUIET][choice]
+        assert net.put_return_policy == [
+            PutReturnPolicy.LOCAL_COMPLETION,
+            PutReturnPolicy.REMOTE_COMPLETION][choice]
+
+    def test_readme_key_table_lists_exactly_the_parsed_keys(self):
+        """Each README key-table row names a key; the section cell is
+        filled on a section's first row only."""
+        rows, section = [], None
+        for line in (ROOT / "README.md").read_text().splitlines():
+            match = re.match(r"\| *(?:`\[(\w+)[^`]*\]`)? *\| *`(\w+)` *\|",
+                             line)
+            if match:
+                section = match.group(1) or section
+                rows.append((section, match.group(2)))
+        assert sorted(rows) == sorted(
+            (section, key) for section, table in SECTION_KEYS.items()
+            for key in table)
 
 
 class TestRunUntilStable:
@@ -473,6 +600,15 @@ class TestCli:
          "line 11: bad duration 'nan'"),
         (2, "type = quiet\n\n[clock]\noffset = 0, -infus\n",
          "line 11: bad duration '-infus'"),
+        # further [run] keys follow `npes = ` on lines 6 on
+        ("2\nsigma_threshold = nan", "type = quiet\n",
+         "line 6: bad number 'nan'"),
+        ("2\nsigma_threshold = inf", "type = quiet\n",
+         "line 6: bad number 'inf'"),
+        ("2\ntolerance = nan", "type = quiet\n",
+         "line 6: bad number 'nan'"),
+        ("2\ntolerance = -inf", "type = quiet\n",
+         "line 6: bad number '-inf'"),
     ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer",
             "bcast_naive_zero_iters", "bcast_sync_zero_iters",
             "lock_negative_iters", "barrier_zero_iters",
@@ -483,7 +619,8 @@ class TestCli:
             "drift_list_length", "offset_list_length_per_measurement",
             "drift_not_monotone", "drift_not_a_number",
             "negative_timer_overhead", "get_past_heap", "infinite_drift",
-            "nan_latency", "infinite_offset"])
+            "nan_latency", "infinite_offset", "nan_sigma_threshold",
+            "infinite_sigma_threshold", "nan_tolerance", "infinite_tolerance"])
     def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
                                                    npes, section, message):
         path = tmp_path / "unrunnable.conf"

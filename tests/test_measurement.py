@@ -9,8 +9,9 @@ import pytest
 
 import shmembench
 from shmembench import (LockScenario, NetworkModel, PgasWorld,
-                        measure_barrier_time, measure_bcast_barrier,
-                        measure_bcast_naive, measure_bcast_sync,
+                        estimate_offsets, measure_barrier_time,
+                        measure_bcast_barrier, measure_bcast_naive,
+                        measure_bcast_rounds, measure_bcast_sync,
                         measure_blocking, measure_lock, measure_nonblocking,
                         measure_quiet)
 
@@ -34,16 +35,41 @@ WITH_ITERS = {
 }
 
 
-@pytest.mark.parametrize("iters", [0, -1])
-@pytest.mark.parametrize("name", sorted(WITH_ITERS))
-def test_iters_below_one_rejected_before_any_world(monkeypatch, name, iters):
+# offset-probe counts: (argument name, call)
+WITH_PROBE_REPS = {
+    "estimate_offsets": ("reps", lambda w, n: estimate_offsets(w, reps=n)),
+    "measure_bcast_sync": ("probe_reps", lambda w, n: measure_bcast_sync(
+        w, 8, 4, probe_reps=n)),
+    "measure_bcast_rounds": ("probe_reps", lambda w, n: measure_bcast_rounds(
+        w, 8, probe_reps=n)),
+}
+
+
+def _template_that_never_copies(monkeypatch):
     def no_world(self, jitter_seed=None):
-        raise AssertionError("a world was built before the iters check")
+        raise AssertionError("a world was built before the argument check")
 
     world = PgasWorld(2, NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6))
     monkeypatch.setattr(PgasWorld, "fresh", no_world)
+    return world
+
+
+@pytest.mark.parametrize("iters", [0, -1])
+@pytest.mark.parametrize("name", sorted(WITH_ITERS))
+def test_iters_below_one_rejected_before_any_world(monkeypatch, name, iters):
+    world = _template_that_never_copies(monkeypatch)
     with pytest.raises(ValueError, match=r"^iters must be >= 1$"):
         WITH_ITERS[name](world, iters)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize("name", sorted(WITH_PROBE_REPS))
+def test_probe_reps_below_one_rejected_before_any_world(monkeypatch, name,
+                                                        reps):
+    world = _template_that_never_copies(monkeypatch)
+    argument, call = WITH_PROBE_REPS[name]
+    with pytest.raises(ValueError, match=rf"^{argument} must be >= 1$"):
+        call(world, reps)
 
 
 def _modules():
