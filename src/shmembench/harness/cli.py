@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..pgas import DeadlockError
-from .config import MEASUREMENT_TYPES, ConfigError, parse_config
+from .config import MEASUREMENT_TYPES, ConfigError, check_seed, parse_config
 from .runner import FORMATS, emit_results, ground_truth_report, run_config
 
 
@@ -42,12 +42,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+        if args.seed is not None:
+            check_seed(args.seed, "--seed")
     except (OSError, UnicodeDecodeError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    if args.seed is not None and not 0 <= args.seed < (1 << 64):
-        print("error: --seed must fit in 64 bits", file=sys.stderr)
         return 2
     out_format = args.format or cfg.out_format
     try:

@@ -85,6 +85,13 @@ def _int(text: str, line: int) -> int:
         raise ConfigError(f"bad integer {text!r}", line) from None
 
 
+def check_seed(seed: int, key: str = "seed", line: int | None = None) -> int:
+    """The one range check of a base seed, from `[run]` or `--seed`."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{key} must fit in 64 bits", line)
+    return seed
+
+
 def _float(text: str, line: int) -> float:
     try:
         return float(text)
@@ -176,7 +183,8 @@ SECTION_KEYS = {
     },
     "run": {
         "npes": ("npes", _int),
-        "seed": ("seed", _int),
+        "seed": ("seed", lambda text, line: check_seed(_int(text, line),
+                                                       line=line)),
         "sigma_threshold": ("sigma_threshold", _finite),
         "max_reps": ("max_reps", _at_least(_int, "max_reps", 2)),
         "tolerance": ("tolerance", _finite),

@@ -8,6 +8,9 @@ which measurement code treats as the oracle.
 Scheduling is a single heapq of (time, seq, thunk); ties break by insertion
 sequence number, so a given (config, seed, programs) triple always replays
 to an identical trace.
+
+A world's symmetric heap is allocated and zeroed on its first access, so a
+template world that `run_fresh` only copies holds no heap memory.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Generator, Iterable
 
 from .netmodel import (ClockModel, NetworkModel, ProgressMode,
@@ -572,7 +576,11 @@ class Pe:
 
 
 class PgasWorld:
-    """The simulated machine: PEs, symmetric heap, NIC queues, trace."""
+    """The simulated machine: PEs, symmetric heap, NIC queues, trace.
+
+    The heap is allocated on first access, so a world that never touches
+    memory (a template copied by `fresh`, a barrier-only run) holds none.
+    """
 
     def __init__(self, npes: int, net: NetworkModel, clock: ClockModel | None = None,
                  heap_size: int = DEFAULT_HEAP_SIZE,
@@ -593,6 +601,8 @@ class PgasWorld:
             raise ValueError("barrier_root out of range")
         if busy_wait_unit <= 0:
             raise ValueError("busy_wait_unit must be > 0")
+        if heap_size < 0:
+            raise ValueError("heap_size must be >= 0")
         self.npes = npes
         self.net = net
         self.clock = clock
@@ -602,7 +612,6 @@ class PgasWorld:
         self.barrier_root = barrier_root
         self.busy_wait_unit = busy_wait_unit
 
-        self.heap = [bytearray(heap_size) for _ in range(npes)]
         self.trace = GroundTruthTrace()
         self.now = 0.0
         self._queue: list = []
@@ -638,6 +647,12 @@ class PgasWorld:
                          barrier_algo=self.barrier_algo,
                          barrier_root=self.barrier_root,
                          busy_wait_unit=self.busy_wait_unit)
+
+    @cached_property
+    def heap(self) -> list[bytearray]:
+        """`npes` zeroed heaps of `heap_size` bytes, all allocated on the
+        first access."""
+        return [bytearray(self.heap_size) for _ in range(self.npes)]
 
     def pe(self, rank: int) -> Pe:
         return Pe(self, rank)

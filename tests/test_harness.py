@@ -609,6 +609,10 @@ class TestCli:
          "line 6: bad number 'nan'"),
         ("2\ntolerance = -inf", "type = quiet\n",
          "line 6: bad number '-inf'"),
+        ("2\nseed = -1", "type = quiet\n",
+         "line 6: seed must fit in 64 bits"),
+        ("2\nseed = 18446744073709551616", "type = quiet\n",
+         "line 6: seed must fit in 64 bits"),
     ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer",
             "bcast_naive_zero_iters", "bcast_sync_zero_iters",
             "lock_negative_iters", "barrier_zero_iters",
@@ -620,7 +624,8 @@ class TestCli:
             "drift_not_monotone", "drift_not_a_number",
             "negative_timer_overhead", "get_past_heap", "infinite_drift",
             "nan_latency", "infinite_offset", "nan_sigma_threshold",
-            "infinite_sigma_threshold", "nan_tolerance", "infinite_tolerance"])
+            "infinite_sigma_threshold", "nan_tolerance", "infinite_tolerance",
+            "negative_seed", "seed_past_64_bits"])
     def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
                                                    npes, section, message):
         path = tmp_path / "unrunnable.conf"
@@ -630,6 +635,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_flag_outside_64_bits_is_one_line_exit_2(
+            self, config_path, capsys, seed):
+        assert cli_main(["--config", str(config_path), "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed must fit in 64 bits\n"
 
     def test_deadlock_is_one_line_exit_3(self, tmp_path, capsys):
         # a 2 MiB acknowledged broadcast fits the heap but overwrites its

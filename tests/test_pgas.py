@@ -1,10 +1,13 @@
 """Simulator-level tests: RMA semantics, quiet, atomics, determinism."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
                         PgasWorld, ProgressMode, PutReturnPolicy, run_fresh)
-from shmembench.pgas import idle
+from shmembench.pgas import DEFAULT_HEAP_SIZE, idle
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
@@ -330,6 +333,92 @@ class TestRunFresh:
         with pytest.raises(DeadlockError) as ei:
             run_fresh(PgasWorld(2, NET), prog, ranks=(1,))
         assert set(ei.value.blocked) == {1}
+
+
+def _traced(fn):
+    """`fn()`, the bytes it still holds on return and its peak, by
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestHeapOnFirstAccess:
+    """A world's symmetric heap is allocated and zeroed on first access,
+    for every PE at once; a world that never touches memory holds none."""
+
+    SMALL = 256 << 10  # far below one 2 MiB PE heap
+
+    @staticmethod
+    def _write(pe):
+        pe.write_bytes(16, b"local!")
+        yield from pe.put((pe.rank + 1) % pe.world.npes, 64, 8, src_offset=16)
+
+    def test_negative_heap_size_rejected_when_built(self):
+        with pytest.raises(ValueError, match="heap_size must be >= 0"):
+            PgasWorld(2, NET, heap_size=-1)
+
+    def test_building_a_world_and_its_fresh_copy_allocates_no_heap(self):
+        def build():
+            world = PgasWorld(8, NET)
+            return world, world.fresh(jitter_seed=3)
+
+        (world, copy), _, peak = _traced(build)
+        assert world.heap_size == copy.heap_size == DEFAULT_HEAP_SIZE
+        assert peak < self.SMALL
+
+    def test_run_fresh_leaves_the_template_unallocated(self):
+        def build_and_run():
+            template = PgasWorld(4, NET)
+            run = run_fresh(template, self._write)
+            assert run.heap[1][64:70] == b"local!"
+            return template
+
+        template, held, peak = _traced(build_and_run)
+        assert peak >= 4 * DEFAULT_HEAP_SIZE  # the run's own heap
+        assert held < self.SMALL
+        assert run_fresh(template, self._write).heap[2][64:70] == b"local!"
+
+    def test_barrier_only_run_allocates_no_heap(self):
+        def prog(pe):
+            yield from pe.barrier()
+            yield from pe.barrier()
+
+        world, _, peak = _traced(lambda: run_fresh(PgasWorld(4, NET), prog))
+        assert world.trace.entries and peak < self.SMALL
+
+    def test_run_that_writes_sees_every_pe_heap_zeroed_plus_its_data(self):
+        world, _, peak = _traced(lambda: PgasWorld(3, NET))
+        assert peak < self.SMALL  # nothing until the run touches memory
+        world.run([self._write, idle, idle])
+        expect = [bytearray(DEFAULT_HEAP_SIZE) for _ in range(3)]
+        expect[0][16:22] = expect[1][64:70] = b"local!"
+        assert world.heap == expect
+
+    @pytest.mark.parametrize("heap_size", [8, DEFAULT_HEAP_SIZE])
+    def test_access_past_heap_size_faults(self, heap_size):
+        def fault_before_any_access():
+            world = PgasWorld(2, NET, heap_size=heap_size)
+            with pytest.raises(HeapFault):
+                world.pe(1).store_int(heap_size, 1)
+
+        _, _, peak = _traced(fault_before_any_access)
+        assert peak < self.SMALL
+
+        def prog(pe):
+            pe.write_bytes(0, b"in")
+            yield from pe.put(1, heap_size - 4, 8)
+
+        world = PgasWorld(2, NET, heap_size=heap_size)
+        with pytest.raises(HeapFault):
+            world.run([prog, idle])
+        assert [len(h) for h in world.heap] == [heap_size] * 2
+        assert world.heap[0][:2] == b"in"
 
 
 class TestTrace:
