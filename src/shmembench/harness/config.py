@@ -16,7 +16,7 @@ from ..netmodel import NetworkModel, ProgressMode, PutReturnPolicy
 from ..p2pbench import TimingStrategy
 from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
                     BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE)
-from .runner import FORMATS, MEASUREMENT_TYPES
+from .runner import FORMATS, MEASUREMENT_TYPES, TYPE_KEYS
 
 
 class ConfigError(ValueError):
@@ -212,11 +212,16 @@ SECTION_KEYS = {
 
 def _apply(keys: dict[str, tuple[int, str]], section: str) -> dict:
     """Parse the keys present, in the order of their section's table, into
-    `{attribute: value}`; then reject any key the table does not name."""
+    `{attribute: value}`, rejecting a measurement key its type (parsed
+    first) does not read; then reject any key the table does not name."""
     values = {}
     for key, (attribute, parse) in SECTION_KEYS[section.split(".")[0]].items():
         if key in keys:
             lineno, text = keys.pop(key)
+            if (key in TYPE_KEYS
+                    and key not in MEASUREMENT_TYPES[values["type"]].keys):
+                raise ConfigError(
+                    f"{key} does not apply to {values['type']}", lineno)
             values[attribute] = parse(text, lineno)
     for key, (lineno, _) in keys.items():
         raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
@@ -301,7 +306,7 @@ def _check_spec(cfg: BenchConfig, spec: MeasurementSpec) -> None:
     if npes < mtype.min_npes:
         raise ConfigError(
             f"{where}: {spec.type} needs npes >= {mtype.min_npes}, got {npes}")
-    for nbytes in spec.nbytes if mtype.sweeps_bytes else [0]:
+    for nbytes in spec.nbytes if "nbytes" in mtype.keys else [0]:
         footprint = mtype.footprint(nbytes)
         if footprint > DEFAULT_HEAP_SIZE:
             raise ConfigError(

@@ -45,14 +45,15 @@ class MeasurementType:
     functions through module names at call time, so a tracer that rebinds
     those names sees every call. `footprint(nbytes)` is the heap bytes per
     PE they address; it is stored as is, since sizing a heap is not a
-    measurement call. A type that does not sweep bytes runs once, at nbytes
-    0. `check(spec, npes)` says why the spec cannot run in `npes` PEs, if so.
+    measurement call. `keys` are the `TYPE_KEYS` it reads; a type that does
+    not read `nbytes` runs once, at nbytes 0. `check(spec, npes)` says why
+    the spec cannot run in `npes` PEs, if so.
     """
     run: Callable[[PgasWorld, MeasurementSpec, int], Measurement]
     truth: Callable[[NetworkModel, Callable[[], PgasWorld], MeasurementSpec,
                      int], float]
     footprint: Callable[[int], int]
-    sweeps_bytes: bool = True
+    keys: frozenset[str]
     min_npes: int = 1
     check: Callable[[MeasurementSpec, int], str | None] = _runs_anywhere
 
@@ -85,9 +86,9 @@ def _p2p_span(new_world, op, nbytes, part):
     return {"full": full, "post": post, "quiet": full - post}[part]
 
 
-def _p2p(measure, truth, sweeps_bytes=True):
-    return MeasurementType(measure, truth, p2pbench.heap_footprint,
-                           sweeps_bytes, min_npes=2)
+def _p2p(measure, truth, keys=frozenset({"nbytes", "iters", "strategy"})):
+    return MeasurementType(measure, truth, p2pbench.heap_footprint, keys,
+                           min_npes=2)
 
 
 def _nbi(op, variant):
@@ -97,10 +98,11 @@ def _nbi(op, variant):
         w, op, variant, n, s.iters, s.strategy), truth)
 
 
-def _bcast(measure, footprint=collbench.heap_footprint, check=_runs_anywhere):
+def _bcast(measure, *keys, footprint=collbench.heap_footprint,
+           check=_runs_anywhere):
     return MeasurementType(
         measure, lambda net, new, s, n: ground_truth_bcast_span(new(), n),
-        footprint, check=check)
+        footprint, frozenset({"nbytes", *keys}), check=check)
 
 
 def _check_window(spec, npes):
@@ -144,7 +146,8 @@ def _lock(mode, round_trips=None):
     truth = (_no_truth if round_trips is None else lambda net, new, s, n:
              round_trips * (net.o_s + net.L + net.o_r))
     return MeasurementType(run, truth, lockbench.heap_footprint,
-                           sweeps_bytes=False, check=check)
+                           frozenset({"iters", "home_pe", "requester_pe"}),
+                           check=check)
 
 
 MEASUREMENT_TYPES: dict[str, MeasurementType] = {
@@ -156,7 +159,7 @@ MEASUREMENT_TYPES: dict[str, MeasurementType] = {
         lambda net, new, s, n: _p2p_span(new, "put", n, "elapsed")),
     "quiet": _p2p(lambda w, s, n: measure_quiet(w, s.iters, s.strategy),
                   lambda net, new, s, n: _p2p_span(new, "put_nbi", 1, "full"),
-                  sweeps_bytes=False),
+                  frozenset({"iters", "strategy"})),
     "nbi_put_full": _nbi("put", "full"),
     "nbi_put_post": _nbi("put", "post"),
     "nbi_put_quiet": _nbi("put", "quiet"),
@@ -165,23 +168,27 @@ MEASUREMENT_TYPES: dict[str, MeasurementType] = {
     "nbi_get_post": _nbi("get", "post"),
     "nbi_get_quiet": _nbi("get", "quiet"),
     "nbi_get_overlap": _nbi("get", "overlap"),
-    "bcast_naive": _bcast(lambda w, s, n: measure_bcast_naive(w, n, s.iters)),
+    "bcast_naive": _bcast(lambda w, s, n: measure_bcast_naive(w, n, s.iters),
+                          "iters"),
     "bcast_barrier": _bcast(
-        lambda w, s, n: measure_bcast_barrier(w, n, s.iters)),
+        lambda w, s, n: measure_bcast_barrier(w, n, s.iters), "iters"),
     "bcast_sync": _bcast(lambda w, s, n: measure_bcast_sync(
-        w, n, s.iters, window_len=s.window_len), check=_check_window),
+        w, n, s.iters, window_len=s.window_len), "iters", "window_len",
+        check=_check_window),
     "bcast_rounds": _bcast(lambda w, s, n: measure_bcast_rounds(
-        w, n, window_len=s.window_len), check=_check_window),
-    "bcast_sk": _bcast(lambda w, s, n: measure_bcast_sk(w, n, M=s.M),
-                       collbench.sk_heap_footprint, _check_M),
+        w, n, window_len=s.window_len), "window_len", check=_check_window),
+    "bcast_sk": _bcast(lambda w, s, n: measure_bcast_sk(w, n, M=s.M), "M",
+                       footprint=collbench.sk_heap_footprint, check=_check_M),
     "barrier_time": MeasurementType(
         lambda w, s, n: measure_barrier_time(w, s.iters), _barrier_span,
-        syncschemes.heap_footprint, sweeps_bytes=False),
+        syncschemes.heap_footprint, frozenset({"iters"})),
     "lock_uncontended": _lock("uncontended_set_clear", 4),
     "lock_contended": _lock("contended_set"),
     "lock_test_held": _lock("test_held", 2),
     "lock_test_free": _lock("test_free", 2),
 }
+# Measurement keys that some types do not read; every type reads the rest.
+TYPE_KEYS = frozenset().union(*(t.keys for t in MEASUREMENT_TYPES.values()))
 
 
 @dataclass
@@ -245,7 +252,7 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for spec in cfg.measurements:
         mtype = MEASUREMENT_TYPES[spec.type]
-        sweep = spec.nbytes if mtype.sweeps_bytes else [0]
+        sweep = spec.nbytes if "nbytes" in mtype.keys else [0]
         net = cfg.networks[spec.network]
         for nbytes in sweep:
             values: list[float] = []

@@ -5,9 +5,19 @@ cooperatively scheduled logical processes whose communication costs follow
 the NetworkModel.  Every event of interest is logged to a GroundTruthTrace,
 which measurement code treats as the oracle.
 
-Scheduling is a single heapq of (time, seq, thunk); ties break by insertion
-sequence number, so a given (config, seed, programs) triple always replays
-to an identical trace.
+Scheduling is a single heapq of `(time, seq, rank, value)` entries; ties
+break by insertion sequence number, so a given (config, seed, programs)
+triple always replays to an identical trace. An entry with `rank >= 0`
+resumes that PE's generator by sending it `value`; one with `rank == -1`
+calls `value()`, a NIC callback (a delivery, a served request). No closure
+is built per PE step.
+
+Only generators reach `_resume`: `run` wraps a program that returns a
+plain iterator or None once, so each step is one `send` and one type check
+of the yielded request. A PE whose `_Advance` ends strictly before the head
+of the queue continues at once, without a push and a pop; one that ends at
+the head's time or later is queued, so an event queued earlier at the same
+time still runs first.
 
 A world's symmetric heap is allocated and zeroed on its first access, so a
 template world that `run_fresh` only copies holds no heap memory.
@@ -22,6 +32,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import GeneratorType
 from typing import Callable, Generator, Iterable
 
 from .netmodel import (ClockModel, NetworkModel, ProgressMode,
@@ -71,7 +82,7 @@ BARRIER_DISSEMINATION = "dissemination"
 BARRIER_REDUCE_BCAST = "reduce_bcast"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Advance:
     dt: float
 
@@ -83,7 +94,7 @@ class _Signal:
         self.waiters: list[int] = []
 
 
-@dataclass
+@dataclass(slots=True)
 class _Wait:
     signal: _Signal
     why: str
@@ -571,7 +582,7 @@ class Pe:
             box[key] -= need
             return
         sig = _Signal()
-        w._mail_waiters[self.rank].append((key, need, sig))
+        w._mail_waiters[self.rank].setdefault(key, []).append((need, sig))
         yield _Wait(sig, why)
 
 
@@ -617,17 +628,18 @@ class PgasWorld:
         self._queue: list = []
         self._seq = 0
         self._nic_free = [0.0] * npes
-        self._rng = random.Random(clock.jitter_seed)
+        self._random = random.Random(clock.jitter_seed).random
         self._pending: list[dict[str, _OpState]] = [dict() for _ in range(npes)]
         self._mail: list[dict] = [dict() for _ in range(npes)]
-        self._mail_waiters: list[list] = [list() for _ in range(npes)]
+        # per PE: mail key -> [(need, signal)], in the order they blocked
+        self._mail_waiters: list[dict] = [dict() for _ in range(npes)]
         self._cell_waiters: list[list] = [list() for _ in range(npes)]
         self._locks: dict[tuple[int, int], _LockState] = {}
         self._coll_count = [0] * npes
         self._coll_sig: dict[int, tuple] = {}
         self._next_op = 0
         self._next_quiet = 0
-        self._gens: list = []
+        self._sends: list = []  # each PE generator's `send`
         self._done: list[bool] = []
         self._blocked_why: list[str | None] = []
         self.returned: list = [None] * npes  # each PE program's return value
@@ -668,44 +680,51 @@ class PgasWorld:
         self._ran = True
         for rank, prog in enumerate(programs):
             gen = prog(self.pe(rank))
-            if gen is None:
-                gen = iter(())
-            self._gens.append(gen)
+            if type(gen) is not GeneratorType:
+                gen = _as_generator(gen)
+            self._sends.append(gen.send)
             self._done.append(False)
             self._blocked_why.append(None)
-            self._schedule(0.0, lambda r=rank: self._resume(r))
-        while self._queue:
-            t, _, fn = heapq.heappop(self._queue)
+            self._seq += 1
+            heapq.heappush(self._queue, (0.0, self._seq, rank, None))
+        queue, pop, resume = self._queue, heapq.heappop, self._resume
+        while queue:
+            t, _, rank, value = pop(queue)
             self.now = t
-            fn()
-        blocked = {pe: self._blocked_why[pe] or "unknown"
+            if rank < 0:
+                value()
+            else:
+                resume(rank, value)
+        # the queue is empty, so no PE is computing: each one not done is
+        # blocked in the wait it yielded last
+        blocked = {pe: self._blocked_why[pe]
                    for pe in range(self.npes) if not self._done[pe]}
         if blocked:
             raise DeadlockError(blocked)
         return self.trace
 
-    def _schedule(self, t: float, fn: Callable[[], None]):
-        self._seq += 1
-        heapq.heappush(self._queue, (t, self._seq, fn))
-
-    def _resume(self, rank: int, value=None):
-        gen = self._gens[rank]
-        self._blocked_why[rank] = None
+    def _resume(self, rank: int, value):
+        send, queue = self._sends[rank], self._queue
         while True:
             try:
-                req = gen.send(value) if hasattr(gen, "send") else next(gen)
+                req = send(value)
             except StopIteration as stop:
                 self._done[rank] = True
                 self.returned[rank] = stop.value
                 return
-            if isinstance(req, _Advance):
+            value = None
+            kind = type(req)
+            if kind is _Advance:
                 if req.dt <= 0:
-                    value = None
                     continue
-                self._blocked_why[rank] = "computing"
-                self._schedule(self.now + req.dt, lambda r=rank: self._resume(r))
+                t = self.now + req.dt
+                if not queue or t < queue[0][0]:
+                    self.now = t  # nothing else happens before t
+                    continue
+                self._seq += 1
+                heapq.heappush(queue, (t, self._seq, rank, None))
                 return
-            if isinstance(req, _Wait):
+            if kind is _Wait:
                 req.signal.waiters.append(rank)
                 self._blocked_why[rank] = req.why
                 return
@@ -714,21 +733,27 @@ class PgasWorld:
     def _fire(self, sig: _Signal, value=None):
         waiters, sig.waiters = sig.waiters, []
         for rank in waiters:
-            self._schedule(self.now, lambda r=rank, v=value: self._resume(r, v))
+            self._seq += 1
+            heapq.heappush(self._queue, (self.now, self._seq, rank, value))
 
     # -- NIC ------------------------------------------------------------------
 
     def _inject(self, src: int, t_ready: float, ser_bytes: int,
                 deliver: Callable[[], None]) -> float:
         """Queue one message at src's NIC; returns the departure time."""
-        net = self.net
-        dep = max(t_ready, self._nic_free[src])
-        self._nic_free[src] = dep + net.g
+        net, nic_free = self.net, self._nic_free
+        dep = nic_free[src] if nic_free[src] > t_ready else t_ready
+        nic_free[src] = dep + net.g
         lat = net.L
-        if net.jitter_half_width > 0:
-            lat = max(0.0, lat + self._rng.uniform(-net.jitter_half_width,
-                                                   net.jitter_half_width))
-        self._schedule(dep + lat + net.G * ser_bytes + net.o_r, deliver)
+        hw = net.jitter_half_width
+        if hw > 0:
+            # max(0, L + random.uniform(-hw, hw)), with uniform's arithmetic
+            lat += -hw + (hw + hw) * self._random()
+            if not lat > 0.0:
+                lat = 0.0
+        self._seq += 1
+        heapq.heappush(self._queue, (dep + lat + net.G * ser_bytes + net.o_r,
+                                     self._seq, -1, deliver))
         return dep
 
     def _send_ctrl(self, src: int, dst: int, key, ser_bytes: int) -> float:
@@ -737,14 +762,18 @@ class PgasWorld:
 
     def _mail_deliver(self, dst: int, key):
         box = self._mail[dst]
-        box[key] = box.get(key, 0) + 1
-        waiters = self._mail_waiters[dst]
-        for i, (wkey, need, sig) in enumerate(waiters):
-            if wkey == key and box[key] >= need:
-                box[key] -= need
+        count = box[key] = box.get(key, 0) + 1
+        waiters = self._mail_waiters[dst].get(key)
+        if not waiters:
+            return
+        for i, (need, sig) in enumerate(waiters):
+            if count >= need:
+                box[key] = count - need
                 del waiters[i]
+                if not waiters:
+                    del self._mail_waiters[dst][key]
                 self._fire(sig)
-                break
+                return
 
     # -- heap -------------------------------------------------------------------
 
@@ -809,6 +838,13 @@ class PgasWorld:
 def idle(pe: Pe):
     """A PE program that does nothing."""
     return iter(())
+
+
+def _as_generator(requests: Iterable | None) -> Generator:
+    """A generator over what a non-generator program returned: a plain
+    iterator of requests, or None for a program with nothing to do."""
+    if requests is not None:
+        yield from requests
 
 
 def run_fresh(template: PgasWorld, prog: Callable[[Pe], Generator],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 POST = "post"
@@ -24,12 +25,17 @@ EVENT_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One traced event. It is a tuple, so it also compares equal to the
+    plain tuple `(t_global, pe, kind, op_id)`."""
+
     t_global: float
     pe: int
     kind: str
     op_id: str
+
+
+_new_event = tuple.__new__  # TraceEvent(...) without its Python-level __new__
 
 
 class MissingInstanceError(KeyError):
@@ -40,23 +46,38 @@ class MissingInstanceError(KeyError):
 class GroundTruthTrace:
     """Ordered record of true event times, plus side tables for span queries.
 
-    `entries` is the canonical event log.  The side tables index the same
-    information for O(1) span queries: per-op event times, per-collective
-    enter/exit maps, quiet spans, and the post-increment values observed on
-    acknowledgment cells (used by the protocol-safety property checks).
+    `entries` is the canonical event log; it is only ever appended to.  The
+    side tables index the same information for O(1) span queries:
+    per-collective enter/exit maps, quiet spans, and the post-increment
+    values observed on acknowledgment cells (used by the protocol-safety
+    property checks).  The per-op table, `op_events`, is built on the first
+    query, so a run whose trace nobody queries never builds it.
     """
 
     entries: list[TraceEvent] = field(default_factory=list)
-    op_events: dict[str, dict[str, float]] = field(default_factory=dict)
     bcast_instances: dict[int, dict] = field(default_factory=dict)
     barrier_instances: dict[int, dict] = field(default_factory=dict)
     quiet_spans: dict[str, tuple[float, float]] = field(default_factory=dict)
     ack_values: list[tuple[float, int, int]] = field(default_factory=list)
+    _op_index: dict[str, dict[str, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def record(self, t: float, pe: int, kind: str, op_id: str) -> None:
         assert kind in EVENT_KINDS, kind
-        self.entries.append(TraceEvent(t, pe, kind, op_id))
-        self.op_events.setdefault(op_id, {})[kind] = t
+        self.entries.append(_new_event(TraceEvent, (t, pe, kind, op_id)))
+
+    @property
+    def op_events(self) -> dict[str, dict[str, float]]:
+        """op_id -> {kind: time of its last event of that kind}.
+
+        Each access first indexes the entries recorded since the last one.
+        """
+        index = self._op_index
+        for t, _, kind, op_id in self.entries[self._indexed:]:
+            index.setdefault(op_id, {})[kind] = t
+        self._indexed = len(self.entries)
+        return index
 
     # -- oracle queries ----------------------------------------------------
 

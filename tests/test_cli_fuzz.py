@@ -2,7 +2,9 @@
 
 A config that parses must emit its rows (exit 0, or 1 for report
 failures); one that cannot run must exit 2 (config error) or 3 (deadlock)
-with exactly one line on stderr. `main()` never raises.
+with exactly one line on stderr. `main()` never raises. A config sets only
+keys its measurement type reads, except where the drawn fault is a key the
+type does not read, which must exit 2.
 """
 
 import contextlib
@@ -13,27 +15,39 @@ from hypothesis import event, given, settings, strategies as st
 
 from shmembench.harness import MEASUREMENT_TYPES
 from shmembench.harness.cli import main as cli_main
+from shmembench.harness.runner import TYPE_KEYS
 
 SIZES = (0, 1, 8, 1000, 65536, 1 << 21)   # 2 MiB fills a PE's heap
 # The fields a config may get wrong; at most one is wrong per example, so
 # that about half the examples also reach the simulator.
 FAULTS = ("npes", "iters", "nbytes", "M", "window_len", "barrier_root",
-          "lock_pe", "drift", "offset")
-# Keys that only some types read; a fault in one goes to such a type.
-READERS = {"M": ["bcast_sk"], "window_len": ["bcast_rounds", "bcast_sync"],
-           "lock_pe": [t for t in MEASUREMENT_TYPES if t.startswith("lock_")]}
+          "lock_pe", "drift", "offset", "foreign")
+# A fault in a key that only some types read goes to such a type.
+READERS = {fault: sorted(t for t, m in MEASUREMENT_TYPES.items()
+                         if key in m.keys)
+           for fault, key in (("iters", "iters"), ("nbytes", "nbytes"),
+                              ("M", "M"), ("window_len", "window_len"),
+                              ("lock_pe", "home_pe"))}
+# A valid value of each key that only some types read
+FOREIGN = {"nbytes": "8", "iters": "2", "strategy": "per_iteration",
+           "M": "2", "window_len": "50us", "home_pe": "0",
+           "requester_pe": "1"}
 
 
 @st.composite
 def configs(draw):
-    """A one-measurement config; optional keys are left out at random."""
+    """A one-measurement config and whether it sets a key its type does
+    not read; optional keys are left out at random."""
     fault = draw(st.sampled_from(FAULTS + (None,) * len(FAULTS)))
-    types = sorted(MEASUREMENT_TYPES)
+    kind = draw(st.sampled_from(READERS.get(fault, sorted(MEASUREMENT_TYPES))))
+    reads = MEASUREMENT_TYPES[kind].keys
 
     def value(field, valid, bad):
         return draw(st.sampled_from(bad) if fault == field else valid)
 
     def line(key, field, valid, bad):
+        if key in TYPE_KEYS and key not in reads:
+            return ""
         if draw(st.booleans()) and fault != field:
             return ""
         return f"{key} = {value(field, valid, bad)}\n"
@@ -56,6 +70,10 @@ def configs(draw):
 
     sizes = st.lists(st.sampled_from(SIZES), min_size=1, max_size=2,
                      unique=True)
+    foreign = ""
+    if fault == "foreign":
+        key = draw(st.sampled_from(sorted(TYPE_KEYS - reads)))
+        foreign = f"{key} = {FOREIGN[key]}\n"
     return "".join([
         "[network.n]\nL = 1us\no_s = 100ns\nG = 1ns\n",
         draw(st.sampled_from(["", "jitter = 200ns\n"])),
@@ -64,7 +82,7 @@ def configs(draw):
         per_pe("offset", ["0", "1us", "-2us"], "soon"),
         f"\n[run]\nmax_reps = 2\nnpes = {npes}\n",
         "\n[measurement.m]\n",
-        f"type = {draw(st.sampled_from(READERS.get(fault, types)))}\n",
+        f"type = {kind}\n",
         f"npes = {override}\n" if override is not None else "",
         line("iters", "iters", st.integers(1, 4), [0, -1]),
         line("nbytes", "nbytes", sizes.map(
@@ -75,7 +93,8 @@ def configs(draw):
         line("barrier_root", "barrier_root", valid_rank, [-1, pes]),
         line("home_pe", "lock_pe", valid_rank, [-1, pes]),
         line("requester_pe", "lock_pe", valid_rank, [-1, pes]),
-    ])
+        foreign,
+    ]), fault == "foreign"
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +103,10 @@ def config_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=configs(), report=st.booleans())
-def test_every_config_runs_or_fails_with_one_line(config_path, text, report):
+@given(config=configs(), report=st.booleans())
+def test_every_config_runs_or_fails_with_one_line(config_path, config,
+                                                 report):
+    text, foreign = config
     config_path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     argv = ["--config", str(config_path)] + (["--report"] if report else [])
@@ -103,3 +124,5 @@ def test_every_config_runs_or_fails_with_one_line(config_path, text, report):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+    if foreign:
+        assert code == 2 and " does not apply to " in err.getvalue()

@@ -1,6 +1,7 @@
 """Config parsing, repetition control, emission, report, and CLI."""
 
 import dataclasses
+import fnmatch
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 parse_config, parse_duration, run_config,
                                 run_until_stable)
 from shmembench.harness import runner
+from shmembench.harness.runner import TYPE_KEYS
 from shmembench.harness.cli import main as cli_main
 from shmembench.harness.config import (SECTION_KEYS, BenchConfig,
                                        MeasurementSpec)
@@ -107,12 +109,25 @@ KEY_CASES = {
 }
 
 
+def _reader(key):
+    """The first type that reads `key`; `bcast_sync` if every type does."""
+    return next((kind for kind, mtype in MEASUREMENT_TYPES.items()
+                 if key in mtype.keys), "bcast_sync")
+
+
+def _keys_read(kind, **values):
+    """`key = value` lines for the keys in `values` that `kind` reads."""
+    return "".join(f"{key} = {value}\n" for key, value in values.items()
+                   if key in MEASUREMENT_TYPES[kind].keys)
+
+
 def _config_with(section, key, text):
-    """A two-PE config with one `bcast_sync` on network `n`, plus
-    `key = text` in `section`, in place of a line that sets `key`."""
+    """A two-PE config with one measurement on network `n`, of a type that
+    reads `key`, plus `key = text` in `section`, in place of a line that
+    sets `key`."""
     sections = {"network": "[network.n]\nL = 1us\n",
                 "clock": "[clock]\n", "run": "[run]\n",
-                "measurement": "[measurement.m]\ntype = bcast_sync\n"
+                "measurement": f"[measurement.m]\ntype = {_reader(key)}\n"
                                "network = n\n"}
     body = re.sub(rf"^{key} = .*\n", "", sections[section], flags=re.M)
     sections[section] = body + f"{key} = {text}\n"
@@ -217,6 +232,54 @@ class TestParseConfig:
         assert net.put_return_policy == [
             PutReturnPolicy.LOCAL_COMPLETION,
             PutReturnPolicy.REMOTE_COMPLETION][choice]
+
+    @pytest.mark.parametrize("kind", sorted(MEASUREMENT_TYPES))
+    def test_type_reads_no_key_outside_its_keys(self, kind):
+        """Keys the type does not declare, set to values that no
+        measurement accepts, change nothing it runs, references or checks."""
+        mtype = MEASUREMENT_TYPES[kind]
+        cfg = parse_config(BASE_CONFIG)  # 4 PEs
+        unreadable = {"nbytes": [-1], "iters": 0, "strategy": None, "M": 0,
+                      "window_len": -1.0, "home_pe": -1, "requester_pe": -1}
+        assert set(unreadable) == TYPE_KEYS
+        spec = MeasurementSpec("m", kind, network="intra", iters=2, M=1)
+        junk = dataclasses.replace(spec, **{
+            key: value for key, value in unreadable.items()
+            if key not in mtype.keys})
+        nbytes = 8 if "nbytes" in mtype.keys else 0
+        net = cfg.networks["intra"]
+        seen = [(mtype.check(s, 4),
+                 mtype.run(runner._build_world(cfg, s, nbytes, 3), s,
+                           nbytes).result,
+                 mtype.truth(net, lambda: runner._build_world(
+                     cfg, s, nbytes, 4), s, nbytes))
+                for s in (spec, junk)]
+        assert repr(seen[0]) == repr(seen[1])
+
+    def test_readme_types_column_names_the_readers_of_each_key(self):
+        """A measurement key's Types cell is `all`, `all but` a list, or a
+        list; list items are type names or `*` patterns."""
+        cells, section = {}, None
+        for line in (ROOT / "README.md").read_text().splitlines():
+            match = re.match(r"\| *(?:`\[(\w+)[^`]*\]`)? *\| *`(\w+)` *\|"
+                             r".*\| *([^|]*?) *\|$", line)
+            if match:
+                section = match.group(1) or section
+                if section == "measurement":
+                    cells[match.group(2)] = match.group(3)
+        for key in SECTION_KEYS["measurement"]:
+            cell = cells[key]
+            names = set()
+            for pattern in re.findall(r"`([\w*]+)`", cell):
+                found = fnmatch.filter(MEASUREMENT_TYPES, pattern)
+                assert found, pattern
+                names.update(found)
+            if cell == "all":
+                names = set(MEASUREMENT_TYPES)
+            elif cell.startswith("all but "):
+                names = set(MEASUREMENT_TYPES) - names
+            assert names == {kind for kind, mtype in MEASUREMENT_TYPES.items()
+                             if key not in TYPE_KEYS or key in mtype.keys}, key
 
     def test_readme_key_table_lists_exactly_the_parsed_keys(self):
         """Each README key-table row names a key; the section cell is
@@ -323,7 +386,7 @@ class TestRunner:
 
 PARITY_SIZES = (8, 65536, 1 << 20)
 # Every measurement type at 4 PEs on a jittered wire, so repetitions differ;
-# non-sweeping types ignore their nbytes.
+# each section sets only the keys its type reads.
 PARITY_CONFIG = """
 [network.jittered]
 o_s = 100ns
@@ -340,9 +403,7 @@ max_reps = 2
 """ + "".join(f"""
 [measurement.{kind}]
 type = {kind}
-nbytes = {", ".join(map(str, PARITY_SIZES))}
-iters = 4
-M = 2
+{_keys_read(kind, nbytes=", ".join(map(str, PARITY_SIZES)), iters=4, M=2)}\
 """ for kind in sorted(MEASUREMENT_TYPES))
 
 
@@ -400,9 +461,7 @@ seed = 5
 [measurement.{kind}]
 network = exact
 type = {kind}
-nbytes = 1024
-iters = 4
-M = 2
+{_keys_read(kind, nbytes=1024, iters=4, M=2)}\
 """ for kind in sorted(MEASUREMENT_TYPES))
 
 # Their references are NaN or a closed form over the network.
@@ -613,6 +672,16 @@ class TestCli:
          "line 6: seed must fit in 64 bits"),
         ("2\nseed = 18446744073709551616", "type = quiet\n",
          "line 6: seed must fit in 64 bits"),
+        # the first key in table order that the type does not read
+        (4, "type = bcast_naive\nhome_pe = 3\nM = 0\nwindow_len = 1ns\n"
+            "strategy = per_iteration\n",
+         "line 12: strategy does not apply to bcast_naive"),
+        (2, "type = bcast_sk\niters = 0\n",
+         "line 9: iters does not apply to bcast_sk"),
+        (2, "type = quiet\nnbytes = 8\n",
+         "line 9: nbytes does not apply to quiet"),
+        (2, "type = lock_contended\nM = 2\n",
+         "line 9: M does not apply to lock_contended"),
     ], ids=["negative_nbytes", "requester_pe_past_npes", "get_without_peer",
             "bcast_naive_zero_iters", "bcast_sync_zero_iters",
             "lock_negative_iters", "barrier_zero_iters",
@@ -625,7 +694,8 @@ class TestCli:
             "negative_timer_overhead", "get_past_heap", "infinite_drift",
             "nan_latency", "infinite_offset", "nan_sigma_threshold",
             "infinite_sigma_threshold", "nan_tolerance", "infinite_tolerance",
-            "negative_seed", "seed_past_64_bits"])
+            "negative_seed", "seed_past_64_bits", "keys_bcast_naive_ignores",
+            "iters_on_bcast_sk", "nbytes_on_quiet", "M_on_lock"])
     def test_unrunnable_config_is_one_line_exit_2(self, tmp_path, capsys,
                                                    npes, section, message):
         path = tmp_path / "unrunnable.conf"
