@@ -1,8 +1,9 @@
 """Event-kernel equivalence: a fixed set of runs replays to a recorded trace.
 
 `tests/data/kernel_trace.txt` holds, for each scenario below, the run's
-`export_text()`, every PE program's return value and the final simulated
-time, and the message of a deadlock. Any change to the event kernel (queue order, tie breaking, jitter
+`export_text()`, every PE program's return value, the final simulated
+time, the trace's side tables (collective instances, quiet spans,
+acknowledgment values) and the message of a deadlock. Any change to the event kernel (queue order, tie breaking, jitter
 draws, waiter wake-up order) that moves one event shows up as a diff.
 Regenerate the file only in a change meant to alter simulated results:
 
@@ -107,6 +108,42 @@ def _nbi_on_quiet():
     return w, [prog] * 2
 
 
+def _nbi_background():
+    net = NetworkModel(o_s=1e-7, o_r=1.5e-7, L=1e-6, g=5e-8, G=1e-9,
+                       jitter_half_width=3e-7,
+                       progress_mode=ProgressMode.BACKGROUND)
+
+    def prog(pe):
+        me, P = pe.rank, pe.world.npes
+        right, left = (me + 1) % P, (me - 1) % P
+        pe.store_int(1024, 100 + me)
+        pe.store_int(2048, 200 + me)
+        ops = [(yield from pe.put_nbi(right, 64, 8, src_offset=1024)),
+               (yield from pe.get_nbi(left, 2048, 8, dst_offset=512)),
+               (yield from pe.put_nbi(left, 128, 16, src_offset=1024))]
+        yield from pe.advance(1e-7 * me)
+        ops.append((yield from pe.get_nbi(right, 1024, 8, dst_offset=768)))
+        ops.append((yield from pe.quiet()))
+        return ops, [pe.load_int(off) for off in (64, 128, 512, 768)]
+
+    w = PgasWorld(3, net, ClockModel.ideal(3, jitter_seed=29))
+    return w, [prog] * 3
+
+
+def _single_pe():
+    def prog(pe):
+        pe.store_int(0, 7)
+        yield from pe.barrier()
+        yield from pe.broadcast(0, 0, 64)
+        yield from pe.put(0, 256, 8, src_offset=0)
+        before = pe.load_int(256)
+        yield from pe.quiet()
+        yield from pe.barrier()
+        return before, pe.load_int(256), pe.world.now
+
+    return PgasWorld(1, JITTER, ClockModel.ideal(1, jitter_seed=31)), [prog]
+
+
 def _fetch_inc_wait_until():
     def prog(pe):
         if pe.rank == 0:
@@ -169,6 +206,8 @@ SCENARIOS = {
     "barrier_reduce_bcast": lambda: _barriers(BARRIER_REDUCE_BCAST, 2),
     "lock_contended_and_test": _locks,
     "nbi_on_quiet_put_remote": _nbi_on_quiet,
+    "nbi_background_jitter": _nbi_background,
+    "single_pe": _single_pe,
     "fetch_inc_wait_until": _fetch_inc_wait_until,
     "fetch_remote_clock": _remote_clock,
     "deadlock": _deadlock,
@@ -184,8 +223,12 @@ def kernel_trace_text() -> str:
             end = ""
         except DeadlockError as e:
             end = f"{e}\n"
-        parts.append(f"== {name}\n{w.trace.export_text()}"
-                     f"returned {w.returned!r}\nnow {w.now!r}\n{end}")
+        t = w.trace
+        parts.append(f"== {name}\n{t.export_text()}"
+                     f"returned {w.returned!r}\nnow {w.now!r}\n"
+                     f"bcast {t.bcast_instances!r}\n"
+                     f"barrier {t.barrier_instances!r}\n"
+                     f"quiet {t.quiet_spans!r}\nack {t.ack_values!r}\n{end}")
     return "".join(parts)
 
 
