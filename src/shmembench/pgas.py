@@ -21,6 +21,12 @@ time still runs first.
 
 A world's symmetric heap is allocated and zeroed on its first access, so a
 template world that `run_fresh` only copies holds no heap memory.
+
+PE operations share a few message shapes, each written once: every RMA
+payload completes in `PgasWorld._land`, every request/reply pair is
+`PgasWorld._round_trip`, a lock is handed over in `PgasWorld._grant`, and
+`Pe._collective` brackets each barrier and broadcast. A blocking call's
+result is the value its wait resumes with.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import GeneratorType
 from typing import Callable, Generator, Iterable
 
@@ -118,29 +124,20 @@ class _LockState:
         self.queue: deque[tuple[int, _Signal]] = deque()
 
 
-def _binomial_children(rel: int, size: int) -> tuple[int | None, list[int]]:
-    """Parent and children (in relative ranks) of a binomial broadcast tree."""
-    mask = 1
-    parent = None
-    while mask < size:
-        if rel & mask:
-            parent = rel - mask
-            break
-        mask <<= 1
-    if parent is None:
-        cm = 1
-        while cm < size:
-            cm <<= 1
-        cm >>= 1
-    else:
-        cm = mask >> 1
-    children = []
-    while cm > 0:
-        c = rel + cm
-        if c < size:
-            children.append(c)
-        cm >>= 1
-    return parent, children
+def _bcast_children(topology: str, rank: int, root: int, size: int) -> list[int]:
+    """The PEs that `rank` sends to in a broadcast tree rooted at `root`.
+
+    A linear tree's root sends to every other PE in rank order. In a
+    binomial tree, the PE at relative rank `rel` sends to `rel + 2**k` for
+    each bit k below its lowest set bit (for the root, below `size`),
+    highest first.
+    """
+    if topology == BCAST_LINEAR:
+        return [dst for dst in range(size) if dst != root] if rank == root else []
+    rel = (rank - root) % size
+    low = rel & -rel if rel else 1 << (size - 1).bit_length()
+    return [(rel + (low >> k) + root) % size
+            for k in range(1, low.bit_length()) if rel + (low >> k) < size]
 
 
 class Pe:
@@ -218,23 +215,10 @@ class Pe:
         """Blocking put; return time follows the model's put_return_policy."""
         w, net = self.world, self.world.net
         src = offset if src_offset is None else src_offset
-        w._check_range(self.rank, src, nbytes)
-        w._check_range(target, offset, nbytes)
-        op = w._new_op(self.rank)
+        op = w._post_rma(self.rank, self.rank, src, target, offset, nbytes)
         w._pending[self.rank][op.op_id] = op  # quiet fences blocking puts too
-        w._trace(tr.POST, self.rank, op.op_id)
         yield _Advance(net.o_s + net.G * nbytes)
-        data = w.heap[self.rank][src:src + nbytes]
-        rank = self.rank
-
-        def deliver():
-            w.heap[target][offset:offset + nbytes] = data
-            op.delivered = True
-            w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-            w._heap_written(target, offset, nbytes)
-            w._fire(op.done)
-
-        w._inject(self.rank, w.now, 0, deliver)
+        w._send_put(op, self.rank, src, target, offset, nbytes, 0)
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         if net.put_return_policy is PutReturnPolicy.REMOTE_COMPLETION:
             if not op.delivered:
@@ -243,89 +227,45 @@ class Pe:
 
     def get(self, target: int, offset: int, nbytes: int, dst_offset: int | None = None):
         """Blocking get: full request/response round trip."""
-        w, net = self.world, self.world.net
+        w = self.world
         dst = offset if dst_offset is None else dst_offset
-        w._check_range(target, offset, nbytes)
-        w._check_range(self.rank, dst, nbytes)
-        op = w._new_op(self.rank)
-        w._trace(tr.POST, self.rank, op.op_id)
+        op = w._post_rma(self.rank, target, offset, self.rank, dst, nbytes)
         rank = self.rank
 
-        def serve():
-            data = w.heap[target][offset:offset + nbytes]
+        def complete(data):
+            w._trace(tr.LOCAL_COMPLETE, rank, op.op_id)
+            w._land(op, rank, rank, dst, data)
 
-            def deliver():
-                w.heap[rank][dst:dst + nbytes] = data
-                op.delivered = True
-                w._trace(tr.LOCAL_COMPLETE, rank, op.op_id)
-                w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-                w._heap_written(rank, dst, nbytes)
-                w._fire(op.done)
-
-            w._inject(target, w.now + net.o_s, nbytes, deliver)
-
-        w._inject(self.rank, w.now + net.o_s, 0, serve)
+        w._round_trip(rank, target, w.now + w.net.o_s, 0,
+                      lambda: w.heap[target][offset:offset + nbytes], nbytes,
+                      complete)
         yield _Wait(op.done, f"get {op.op_id} completion")
         return op.op_id
 
     def put_nbi(self, target: int, offset: int, nbytes: int, src_offset: int | None = None):
-        w, net = self.world, self.world.net
+        w = self.world
         src = offset if src_offset is None else src_offset
-        w._check_range(self.rank, src, nbytes)
-        w._check_range(target, offset, nbytes)
-        op = w._new_op(self.rank)
-        w._trace(tr.POST, self.rank, op.op_id)
-        w._pending[self.rank][op.op_id] = op
-        yield _Advance(net.o_s)
-        w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
-        rank = self.rank
-
-        def launch():
-            data = w.heap[rank][src:src + nbytes]
-
-            def deliver():
-                w.heap[target][offset:offset + nbytes] = data
-                op.delivered = True
-                w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-                w._heap_written(target, offset, nbytes)
-                w._fire(op.done)
-
-            w._inject(rank, w.now, nbytes, deliver)
-
-        if net.progress_mode is ProgressMode.BACKGROUND:
-            launch()
-        else:
-            op.deferred = launch
-        return op.op_id
+        op = w._post_rma(self.rank, self.rank, src, target, offset, nbytes)
+        return (yield from self._post_nbi(op, partial(
+            w._send_put, op, self.rank, src, target, offset, nbytes, nbytes)))
 
     def get_nbi(self, target: int, offset: int, nbytes: int, dst_offset: int | None = None):
-        w, net = self.world, self.world.net
+        w = self.world
         dst = offset if dst_offset is None else dst_offset
-        w._check_range(target, offset, nbytes)
-        w._check_range(self.rank, dst, nbytes)
-        op = w._new_op(self.rank)
-        w._trace(tr.POST, self.rank, op.op_id)
-        w._pending[self.rank][op.op_id] = op
-        yield _Advance(net.o_s)
-        w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
+        op = w._post_rma(self.rank, target, offset, self.rank, dst, nbytes)
         rank = self.rank
+        return (yield from self._post_nbi(op, lambda: w._round_trip(
+            rank, target, w.now, 0, lambda: w.heap[target][offset:offset + nbytes],
+            nbytes, partial(w._land, op, rank, rank, dst))))
 
-        def launch():
-            def serve():
-                data = w.heap[target][offset:offset + nbytes]
-
-                def deliver():
-                    w.heap[rank][dst:dst + nbytes] = data
-                    op.delivered = True
-                    w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-                    w._heap_written(rank, dst, nbytes)
-                    w._fire(op.done)
-
-                w._inject(target, w.now + net.o_s, nbytes, deliver)
-
-            w._inject(rank, w.now, 0, serve)
-
-        if net.progress_mode is ProgressMode.BACKGROUND:
+    def _post_nbi(self, op: _OpState, launch: Callable[[], object]):
+        """Charge the issue overhead of a non-blocking op, then send it now
+        or, under on-quiet progress, leave `launch` to the next quiet."""
+        w = self.world
+        w._pending[self.rank][op.op_id] = op
+        yield _Advance(w.net.o_s)
+        w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
+        if w.net.progress_mode is ProgressMode.BACKGROUND:
             launch()
         else:
             op.deferred = launch
@@ -355,12 +295,9 @@ class Pe:
 
     def fetch_inc(self, target: int, offset: int):
         """Atomic remote fetch-and-increment; blocks for the full round trip."""
-        w, net = self.world, self.world.net
-        w._check_range(target, offset, INT_SIZE)
-        op = w._new_op(self.rank)
-        w._trace(tr.POST, self.rank, op.op_id)
-        done = _Signal()
-        box: list[int] = []
+        w = self.world
+        # the remote cell is both the source and the destination
+        op = w._post_rma(self.rank, target, offset, target, offset, INT_SIZE)
         rank = self.rank
 
         def apply():
@@ -369,17 +306,15 @@ class Pe:
             w._trace(tr.ACK_INC, target, op.op_id)
             w.trace.ack_values.append((w.now, target, pre + 1))
             w._heap_written(target, offset, INT_SIZE)
-            box.append(pre)
+            return pre
 
-            def respond():
-                w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-                w._fire(done)
+        def respond(pre):
+            w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
+            w._fire(op.done, pre)
 
-            w._inject(target, w.now + net.o_s, INT_SIZE, respond)
-
-        w._inject(self.rank, w.now + net.o_s, INT_SIZE, apply)
-        yield _Wait(done, f"fetch_inc {op.op_id} response")
-        return box[0]
+        w._round_trip(rank, target, w.now + w.net.o_s, INT_SIZE, apply,
+                      INT_SIZE, respond)
+        return (yield _Wait(op.done, f"fetch_inc {op.op_id} response"))
 
     def wait_until(self, offset: int, cmp: str, value: int):
         """Suspend until the local integer cell satisfies `cmp value`."""
@@ -393,36 +328,23 @@ class Pe:
 
     def fetch_remote_clock(self, target: int):
         """Round-trip read of the target's local clock at the serve instant."""
-        w, net = self.world, self.world.net
+        w = self.world
         done = _Signal()
-        box: list[float] = []
-        rank = self.rank
-
-        def serve():
-            box.append(w.clock.local_time(target, w.now))
-            w._inject(target, w.now + net.o_s, INT_SIZE, lambda: w._fire(done))
-
-        w._inject(self.rank, w.now + net.o_s, 0, serve)
-        yield _Wait(done, "remote clock fetch")
-        return box[0]
+        w._round_trip(self.rank, target, w.now + w.net.o_s, 0,
+                      lambda: w.clock.local_time(target, w.now), INT_SIZE,
+                      partial(w._fire, done))
+        return (yield _Wait(done, "remote clock fetch"))
 
     # -- collectives -------------------------------------------------------------
 
     def barrier(self):
         w = self.world
-        inst = w._collective_enter(self.rank, ("barrier", w.barrier_root))
-        oid = f"barrier{inst}"
-        w._trace(tr.BARRIER_ENTER, self.rank, oid)
-        rec = w.trace.barrier_instances.setdefault(
-            inst, {"enter": {}, "exit": {}})
-        rec["enter"][self.rank] = w.now
-        if w.npes > 1:
-            if w.barrier_algo == BARRIER_DISSEMINATION:
-                yield from self._barrier_dissemination(inst)
-            else:
-                yield from self._barrier_reduce_bcast(inst, w.barrier_root)
-        w._trace(tr.BARRIER_EXIT, self.rank, oid)
-        rec["exit"][self.rank] = w.now
+        body = (self._barrier_dissemination
+                if w.barrier_algo == BARRIER_DISSEMINATION
+                else self._barrier_reduce_bcast)
+        return self._collective(
+            ("barrier", w.barrier_root), tr.BARRIER_ENTER, tr.BARRIER_EXIT,
+            w.trace.barrier_instances, {}, body)
 
     def _barrier_dissemination(self, inst: int):
         w, net, P = self.world, self.world.net, self.world.npes
@@ -433,10 +355,9 @@ class Pe:
             yield from self._wait_ctrl(("bar", inst, k), 1,
                                        f"barrier {inst} round {k}")
 
-    def _barrier_reduce_bcast(self, inst: int, root: int):
+    def _barrier_reduce_bcast(self, inst: int):
         w, net, P = self.world, self.world.net, self.world.npes
-        rel = (self.rank - root) % P
-        _, children = _binomial_children(rel, P)
+        root = w.barrier_root
         if self.rank != root:
             yield _Advance(net.o_s)
             w._send_ctrl(self.rank, root, ("bar_red", inst), 0)
@@ -445,32 +366,62 @@ class Pe:
         else:
             yield from self._wait_ctrl(("bar_red", inst), P - 1,
                                        f"barrier {inst} reduce")
-        for c in children:
+        for dst in _bcast_children(BCAST_BINOMIAL, self.rank, root, P):
             yield _Advance(net.o_s)
-            w._send_ctrl(self.rank, (c + root) % P, ("bar_rel", inst), 0)
+            w._send_ctrl(self.rank, dst, ("bar_rel", inst), 0)
 
     def broadcast(self, root: int, offset: int, nbytes: int):
-        w, net, P = self.world, self.world.net, self.world.npes
-        if not 0 <= root < P:
+        """Broadcast [offset, offset+nbytes) from `root`; a bad root or range
+        raises at the call."""
+        w = self.world
+        if not 0 <= root < w.npes:
             raise ValueError(f"invalid broadcast root {root}")
         w._check_range(self.rank, offset, nbytes)
-        inst = w._collective_enter(self.rank, ("bcast", root))
-        oid = f"bcast{inst}"
-        w._trace(tr.BCAST_ENTER, self.rank, oid)
-        rec = w.trace.bcast_instances.setdefault(
-            inst, {"root": root, "enter": {}, "exit": {}})
+        return self._collective(
+            ("bcast", root), tr.BCAST_ENTER, tr.BCAST_EXIT,
+            w.trace.bcast_instances, {"root": root},
+            partial(self._bcast_tree, root, offset, nbytes))
+
+    def _collective(self, signature: tuple, enter: str, leave: str,
+                    table: dict, row: dict, body: Callable[[int], Generator]):
+        """Run `body(inst)` as this PE's collective call number `inst`,
+        between its enter and exit trace entries; `table` gets the instance's
+        row (`row` plus per-PE enter and exit times) on entry. Every PE's
+        call number `inst` must have the same `signature`. A one-PE world
+        skips `body`."""
+        w = self.world
+        inst = w._coll_count[self.rank]
+        w._coll_count[self.rank] += 1
+        first = w._coll_sig.setdefault(inst, signature)
+        if first != signature:
+            raise CollectiveMismatchError(
+                f"collective #{inst}: PE {self.rank} called {signature}, "
+                f"others called {first}")
+        oid = f"{signature[0]}{inst}"
+        w._trace(enter, self.rank, oid)
+        rec = table.setdefault(inst, {**row, "enter": {}, "exit": {}})
         rec["enter"][self.rank] = w.now
-        if P > 1:
-            if w.bcast_topology == BCAST_LINEAR:
-                yield from self._bcast_linear(inst, root, offset, nbytes)
-            else:
-                yield from self._bcast_binomial(inst, root, offset, nbytes)
-        w._trace(tr.BCAST_EXIT, self.rank, oid)
+        if w.npes > 1:
+            yield from body(inst)
+        w._trace(leave, self.rank, oid)
         rec["exit"][self.rank] = w.now
 
+    def _bcast_tree(self, root: int, offset: int, nbytes: int, inst: int):
+        """Wait for the data from the parent, then send it to each child."""
+        w, net, P = self.world, self.world.net, self.world.npes
+        key = ("bc", inst)
+        if self.rank != root:
+            yield from self._wait_ctrl(key, 1, f"bcast {inst} data")
+        last_dep = w.now
+        for dst in _bcast_children(w.bcast_topology, self.rank, root, P):
+            yield _Advance(net.o_s + net.G * nbytes)
+            last_dep = self._send_payload(dst, key, offset, nbytes)
+        if last_dep > w.now:
+            yield _Advance(last_dep - w.now)
+
     def _send_payload(self, dst: int, key, offset: int, nbytes: int) -> float:
-        """Charge the sender and inject one data message; returns departure."""
-        w, net = self.world, self.world.net
+        """Inject one broadcast data message; returns its departure."""
+        w = self.world
         data = w.heap[self.rank][offset:offset + nbytes]
 
         def deliver():
@@ -480,39 +431,10 @@ class Pe:
 
         return w._inject(self.rank, w.now, 0, deliver)
 
-    def _bcast_linear(self, inst: int, root: int, offset: int, nbytes: int):
-        w, net, P = self.world, self.world.net, self.world.npes
-        key = ("bc", inst)
-        if self.rank == root:
-            last_dep = w.now
-            for dst in range(P):
-                if dst == root:
-                    continue
-                yield _Advance(net.o_s + net.G * nbytes)
-                last_dep = self._send_payload(dst, key, offset, nbytes)
-            if last_dep > w.now:
-                yield _Advance(last_dep - w.now)
-        else:
-            yield from self._wait_ctrl(key, 1, f"bcast {inst} data")
-
-    def _bcast_binomial(self, inst: int, root: int, offset: int, nbytes: int):
-        w, net, P = self.world, self.world.net, self.world.npes
-        key = ("bc", inst)
-        rel = (self.rank - root) % P
-        parent, children = _binomial_children(rel, P)
-        if parent is not None:
-            yield from self._wait_ctrl(key, 1, f"bcast {inst} data")
-        last_dep = w.now
-        for c in children:
-            yield _Advance(net.o_s + net.G * nbytes)
-            last_dep = self._send_payload((c + root) % P, key, offset, nbytes)
-        if last_dep > w.now:
-            yield _Advance(last_dep - w.now)
-
     # -- global locks ---------------------------------------------------------
 
     def lock_set(self, offset: int, home: int = 0):
-        w, net = self.world, self.world.net
+        w = self.world
         lk = w._lock(home, offset)
         oid = f"lock-{home}-{offset}"
         done = _Signal()
@@ -520,37 +442,33 @@ class Pe:
 
         def req_arrive():
             if lk.holder is None:
-                lk.holder = rank
-                w._trace(tr.LOCK_ACQUIRED, rank, oid)
-                w._inject(home, w.now + net.o_s, 0, lambda: w._fire(done))
+                w._grant(lk, home, oid, rank, done)
             else:
                 lk.queue.append((rank, done))
 
-        w._inject(self.rank, w.now + net.o_s, 0, req_arrive)
+        w._inject(rank, w.now + w.net.o_s, 0, req_arrive)
         yield _Wait(done, f"lock_set {oid}")
 
     def lock_test(self, offset: int, home: int = 0):
-        w, net = self.world, self.world.net
+        w = self.world
         lk = w._lock(home, offset)
         oid = f"lock-{home}-{offset}"
         done = _Signal()
-        box: list[bool] = []
         rank = self.rank
 
-        def req_arrive():
-            ok = lk.holder is None
-            if ok:
-                lk.holder = rank
-                w._trace(tr.LOCK_ACQUIRED, rank, oid)
-            box.append(ok)
-            w._inject(home, w.now + net.o_s, 0, lambda: w._fire(done))
+        def serve():
+            if lk.holder is not None:
+                return False
+            lk.holder = rank
+            w._trace(tr.LOCK_ACQUIRED, rank, oid)
+            return True
 
-        w._inject(self.rank, w.now + net.o_s, 0, req_arrive)
-        yield _Wait(done, f"lock_test {oid}")
-        return box[0]
+        w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
+                      partial(w._fire, done))
+        return (yield _Wait(done, f"lock_test {oid}"))
 
     def lock_clear(self, offset: int, home: int = 0):
-        w, net = self.world, self.world.net
+        w = self.world
         lk = w._lock(home, offset)
         if lk.holder != self.rank:
             raise LockError(
@@ -559,27 +477,24 @@ class Pe:
         done = _Signal()
         rank = self.rank
 
-        def rel_arrive():
+        def serve():
             w._trace(tr.LOCK_RELEASED, rank, oid)
             if lk.queue:
-                nxt, sig = lk.queue.popleft()
-                lk.holder = nxt
-                w._trace(tr.LOCK_ACQUIRED, nxt, oid)
-                w._inject(home, w.now + net.o_s, 0, lambda: w._fire(sig))
+                w._grant(lk, home, oid, *lk.queue.popleft())
             else:
                 lk.holder = None
-            w._inject(home, w.now + net.o_s, 0, lambda: w._fire(done))
 
-        w._inject(self.rank, w.now + net.o_s, 0, rel_arrive)
+        w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
+                      partial(w._fire, done))
         yield _Wait(done, f"lock_clear {oid}")
 
     # -- control-message plumbing -----------------------------------------------
 
     def _wait_ctrl(self, key, need: int, why: str):
         w = self.world
-        box = w._mail[self.rank]
-        if box.get(key, 0) >= need:
-            box[key] -= need
+        mail = w._mail[self.rank]
+        if mail.get(key, 0) >= need:
+            mail[key] -= need
             return
         sig = _Signal()
         w._mail_waiters[self.rank].setdefault(key, []).append((need, sig))
@@ -758,17 +673,63 @@ class PgasWorld:
 
     def _send_ctrl(self, src: int, dst: int, key, ser_bytes: int) -> float:
         return self._inject(src, self.now, ser_bytes,
-                            lambda: self._mail_deliver(dst, key))
+                            partial(self._mail_deliver, dst, key))
+
+    def _round_trip(self, src: int, target: int, t_ready: float,
+                    req_bytes: int, serve: Callable[[], object],
+                    reply_bytes: int, reply: Callable[[object], None]):
+        """One request/response pair: a request leaves `src`'s NIC no
+        earlier than `t_ready`; on its arrival `target` runs `serve()` and,
+        one send overhead later, sends the value back, where `reply(value)`
+        gets it."""
+        if not 0 <= target < self.npes:
+            raise ValueError(f"unknown pe {target}")
+
+        def arrive():
+            self._inject(target, self.now + self.net.o_s, reply_bytes,
+                         partial(reply, serve()))
+
+        self._inject(src, t_ready, req_bytes, arrive)
+
+    # -- RMA -------------------------------------------------------------------
+
+    def _post_rma(self, rank: int, src_pe: int, src: int, dst_pe: int,
+                  dst: int, nbytes: int) -> _OpState:
+        """Check an RMA op's source and destination ranges, then record its
+        POST by `rank`; returns the new op."""
+        self._check_range(src_pe, src, nbytes)
+        self._check_range(dst_pe, dst, nbytes)
+        op = _OpState(f"op{self._next_op}")
+        self._next_op += 1
+        self._trace(tr.POST, rank, op.op_id)
+        return op
+
+    def _send_put(self, op: _OpState, rank: int, src: int, target: int,
+                  offset: int, nbytes: int, ser_bytes: int):
+        """Copy `rank`'s source bytes now and inject them towards `target`."""
+        data = self.heap[rank][src:src + nbytes]
+        self._inject(rank, self.now, ser_bytes,
+                     partial(self._land, op, rank, target, offset, data))
+
+    def _land(self, op: _OpState, rank: int, pe: int, offset: int,
+              data: bytearray):
+        """Complete `rank`'s RMA op `op`: write its payload to `pe`'s heap,
+        wake the cells it satisfies and whoever waits for the op."""
+        self.heap[pe][offset:offset + len(data)] = data
+        op.delivered = True
+        self._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
+        self._heap_written(pe, offset, len(data))
+        self._fire(op.done)
 
     def _mail_deliver(self, dst: int, key):
-        box = self._mail[dst]
-        count = box[key] = box.get(key, 0) + 1
+        mail = self._mail[dst]
+        count = mail[key] = mail.get(key, 0) + 1
         waiters = self._mail_waiters[dst].get(key)
         if not waiters:
             return
         for i, (need, sig) in enumerate(waiters):
             if count >= need:
-                box[key] = count - need
+                mail[key] = count - need
                 del waiters[i]
                 if not waiters:
                     del self._mail_waiters[dst][key]
@@ -808,28 +769,19 @@ class PgasWorld:
 
     # -- collectives / locks -------------------------------------------------------
 
-    def _collective_enter(self, rank: int, signature: tuple) -> int:
-        idx = self._coll_count[rank]
-        self._coll_count[rank] += 1
-        if idx in self._coll_sig:
-            if self._coll_sig[idx] != signature:
-                raise CollectiveMismatchError(
-                    f"collective #{idx}: PE {rank} called {signature}, "
-                    f"others called {self._coll_sig[idx]}")
-        else:
-            self._coll_sig[idx] = signature
-        return idx
-
     def _lock(self, home: int, offset: int) -> _LockState:
         if not 0 <= home < self.npes:
             raise LockError(f"invalid lock home PE {home}")
         self._check_range(home, offset, INT_SIZE)
         return self._locks.setdefault((home, offset), _LockState())
 
-    def _new_op(self, rank: int) -> _OpState:
-        op = _OpState(f"op{self._next_op}")
-        self._next_op += 1
-        return op
+    def _grant(self, lk: _LockState, home: int, oid: str, rank: int,
+               granted: _Signal):
+        """Hand lock `oid` at `home` to `rank` and send it the grant."""
+        lk.holder = rank
+        self._trace(tr.LOCK_ACQUIRED, rank, oid)
+        self._inject(home, self.now + self.net.o_s, 0,
+                     partial(self._fire, granted))
 
     def _trace(self, kind: str, pe: int, op_id: str):
         self.trace.record(self.now, pe, kind, op_id)

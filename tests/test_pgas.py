@@ -1,12 +1,15 @@
 """Simulator-level tests: RMA semantics, quiet, atomics, determinism."""
 
+import ast
 import gc
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
                         PgasWorld, ProgressMode, PutReturnPolicy, run_fresh)
+from shmembench import pgas
 from shmembench.pgas import DEFAULT_HEAP_SIZE, idle
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
@@ -484,3 +487,89 @@ class TestDataPath:
         assert out["ret"] < max(trace.bcast_instances[0]["exit"].values())
         assert [out[r] for r in (1, 2, 3)] == [b"payload!"] * 3
 
+
+
+FAR = DEFAULT_HEAP_SIZE - 4  # an 8-byte range from here runs past the heap
+LOCAL, REMOTE = r"\[-8, 0\)", rf"\[{FAR}, {FAR + 8}\)"
+
+# the local range starts at -8, the remote one at FAR; fetch_inc has no
+# local buffer
+RANGE_FAULTS = [
+    pytest.param(LOCAL, lambda pe: pe.put(1, 0, 8, src_offset=-8),
+                 id="put-local"),
+    pytest.param(REMOTE, lambda pe: pe.put(1, FAR, 8, src_offset=0),
+                 id="put-remote"),
+    pytest.param(LOCAL, lambda pe: pe.get(1, 0, 8, dst_offset=-8),
+                 id="get-local"),
+    pytest.param(REMOTE, lambda pe: pe.get(1, FAR, 8, dst_offset=0),
+                 id="get-remote"),
+    pytest.param(LOCAL, lambda pe: pe.put_nbi(1, 0, 8, src_offset=-8),
+                 id="put_nbi-local"),
+    pytest.param(REMOTE, lambda pe: pe.put_nbi(1, FAR, 8, src_offset=0),
+                 id="put_nbi-remote"),
+    pytest.param(LOCAL, lambda pe: pe.get_nbi(1, 0, 8, dst_offset=-8),
+                 id="get_nbi-local"),
+    pytest.param(REMOTE, lambda pe: pe.get_nbi(1, FAR, 8, dst_offset=0),
+                 id="get_nbi-remote"),
+    pytest.param(REMOTE, lambda pe: pe.fetch_inc(1, FAR), id="fetch_inc-remote"),
+]
+
+
+class TestCallChecks:
+    """A bad argument fails at the call: nothing is traced or sent."""
+
+    @staticmethod
+    def _assert_untouched(world):
+        assert world.now == 0.0
+        assert not world.trace.entries  # no POST
+        assert world._nic_free == [0.0, 0.0]  # no message injected
+
+    @pytest.mark.parametrize("where, call", RANGE_FAULTS)
+    def test_rma_range_fault_at_the_call(self, where, call):
+        def prog(pe):
+            yield from call(pe)
+
+        world = PgasWorld(2, NET)
+        with pytest.raises(HeapFault, match=where):
+            world.run([prog, idle])
+        self._assert_untouched(world)
+
+    @pytest.mark.parametrize("target", [5, -1])
+    def test_fetch_remote_clock_rejects_unknown_pe(self, target):
+        def prog(pe):
+            yield from pe.fetch_remote_clock(target)
+
+        world = PgasWorld(2, NET)
+        with pytest.raises(ValueError, match=rf"^unknown pe {target}$"):
+            world.run([prog, idle])
+        self._assert_untouched(world)
+
+
+class _SliceAssignments(ast.NodeVisitor):
+    """The qualified scope of every `x[a:b] = ...` in a module."""
+
+    def __init__(self):
+        self.scope, self.sites = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Slice)):
+                self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_heap_slices_are_written_in_three_places():
+    """RMA payloads land only in `_land`; the other heap writes are a
+    broadcast payload's delivery and a PE's own `write_bytes`."""
+    visitor = _SliceAssignments()
+    visitor.visit(ast.parse(Path(pgas.__file__).read_text()))
+    assert sorted(visitor.sites) == ["Pe._send_payload.deliver",
+                                     "Pe.write_bytes", "PgasWorld._land"]
