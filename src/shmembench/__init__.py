@@ -10,12 +10,12 @@ from .netmodel import (ClockModel, NetworkModel, ProgressMode,
 from .pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
                    BCAST_BINOMIAL, BCAST_LINEAR, CollectiveMismatchError,
                    DeadlockError, HeapFault, LockError, Measurement, Pe,
-                   PgasWorld, run_fresh)
+                   PgasWorld, TimingStrategy, run_fresh, timed_loop)
 from .trace import GroundTruthTrace, TraceEvent
 from .syncschemes import (SyncState, estimate_offsets, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
-from .p2pbench import (TimingStrategy, calibrate_busy_wait, measure_blocking,
+from .p2pbench import (calibrate_busy_wait, measure_blocking,
                        measure_nonblocking, measure_quiet)
 from .collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                         measure_bcast_naive, measure_bcast_rounds,
@@ -24,7 +24,7 @@ from .lockbench import LockScenario, measure_lock
 
 __all__ = [
     "ClockModel", "NetworkModel", "ProgressMode", "PutReturnPolicy",
-    "PgasWorld", "Pe", "run_fresh", "Measurement",
+    "PgasWorld", "Pe", "run_fresh", "timed_loop", "Measurement",
     "GroundTruthTrace", "TraceEvent",
     "DeadlockError", "HeapFault", "CollectiveMismatchError", "LockError",
     "BCAST_LINEAR", "BCAST_BINOMIAL",

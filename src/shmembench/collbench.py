@@ -10,7 +10,8 @@ fetch-and-increment consumed by a wait-until.
 
 from __future__ import annotations
 
-from .pgas import INT_SIZE, Measurement, PgasWorld, check_iters, run_fresh
+from .pgas import (INT_SIZE, Measurement, PgasWorld, TimingStrategy,
+                   check_iters, run_fresh, timed_loop)
 from .syncschemes import (SyncState, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
@@ -46,13 +47,9 @@ def measure_bcast_naive(world: PgasWorld, nbytes: int,
 
     def prog(pe):
         yield from pe.barrier()
-        if pe.rank == 0:
-            t1 = yield from pe.stamp_begin()
-        for _ in range(iters):
-            yield from pe.broadcast(0, BUF_OFFSET, nbytes)
-        if pe.rank == 0:
-            t2 = yield from pe.stamp_end()
-            return (t2 - t1) / iters
+        return (yield from timed_loop(
+            pe, lambda i: pe.broadcast(0, BUF_OFFSET, nbytes), iters,
+            timed=pe.rank == 0))
 
     return Measurement(run_fresh(world, prog).returned[0], iters)
 
@@ -65,24 +62,17 @@ def measure_bcast_barrier(world: PgasWorld, nbytes: int,
     t_barrier = measure_barrier_time(world, 100).result
 
     def prog(pe):
-        yield from pe.barrier()
-        total = 0.0
-        for _ in range(iters):
-            if pe.rank == 0:
-                t1 = yield from pe.stamp_begin()
+        def body(i):
             yield from pe.broadcast(0, BUF_OFFSET, nbytes)
             yield from pe.barrier()
-            if pe.rank == 0:
-                t2 = yield from pe.stamp_end()
-                total += t2 - t1
-        return total / iters
 
-    mean = run_fresh(world, prog).returned[0] - t_barrier
-    flags = []
-    if mean < 0:
-        mean = 0.0
-        flags.append("unstable")
-    return Measurement(mean, iters, flags)
+        yield from pe.barrier()
+        return (yield from timed_loop(pe, body, iters,
+                                      TimingStrategy.PER_ITERATION,
+                                      timed=pe.rank == 0))
+
+    return Measurement.clamped(run_fresh(world, prog).returned[0] - t_barrier,
+                               iters)
 
 
 def _pilot_window(world: PgasWorld, nbytes: int) -> float:
@@ -95,7 +85,7 @@ def _aligned_start(pe, state: SyncState, probe_reps: int):
     after the alignment barrier, then align all PEs in that barrier."""
     yield from offset_probe_fragment(pe, state, probe_reps)
     if pe.rank == 0:
-        now_local = yield from pe.read_timer()
+        now_local = yield from pe.stamp_begin()
         state.slot0 = now_local + state.window_len + 1e-3
     yield from pe.barrier()
 
@@ -168,6 +158,16 @@ def _ack_round_trip(pe, root: int, task: int):
         yield from pe.fetch_inc(root, ACK_OFFSET)
 
 
+def _acked_bcast(pe, root: int, task: int, nbytes: int):
+    """One broadcast that task acknowledges to root; root clears its cell."""
+    yield from pe.broadcast(root, BUF_OFFSET, nbytes)
+    if pe.rank == root:
+        yield from pe.wait_until(ACK_OFFSET, "eq", 1)
+        pe.store_int(ACK_OFFSET, 0)
+    elif pe.rank == task:
+        yield from pe.fetch_inc(root, ACK_OFFSET)
+
+
 def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16) -> Measurement:
     """Acknowledged broadcast measurement.
 
@@ -186,35 +186,20 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16) -> Measurement:
         yield from pe.barrier()
         for task in range(1, pe.world.npes):
             # measure the ack round trip between root and task
-            rt1 = 0.0
             if rank in (root, task):
-                t1 = yield from pe.stamp_begin()
-                for _ in range(M):
-                    yield from _ack_round_trip(pe, root, task)
-                t2 = yield from pe.stamp_end()
-                rt1 = (t2 - t1) / M
+                rt1 = yield from timed_loop(
+                    pe, lambda i: _ack_round_trip(pe, root, task), M)
             # warm-up: one acknowledged broadcast
             yield from pe.broadcast(root, BUF_OFFSET, nbytes)
             yield from _ack_round_trip(pe, root, task)
-            # measure M acknowledged broadcasts
-            t1 = yield from pe.stamp_begin()
-            for _ in range(M):
-                yield from pe.broadcast(root, BUF_OFFSET, nbytes)
-                if rank == root:
-                    yield from pe.wait_until(ACK_OFFSET, "eq", 1)
-                    pe.store_int(ACK_OFFSET, 0)
-                elif rank == task:
-                    yield from pe.fetch_inc(root, ACK_OFFSET)
-            t2 = yield from pe.stamp_end()
+            # measure M acknowledged broadcasts, timed on every PE
+            loop = yield from timed_loop(
+                pe, lambda i: _acked_bcast(pe, root, task, nbytes), M)
             if rank == task:
-                estimate = (t2 - t1) / M - rt1
+                estimate = loop - rt1
         return estimate
 
     w = run_fresh(world, prog)
-    per_task = dict(enumerate(w.returned[1:], start=1))
-    flags = []
-    result = max(per_task.values(), default=0.0)  # P == 1: no tasks to sweep
-    if result < 0:
-        result = 0.0
-        flags.append("unstable")
-    return Measurement(result, M, flags, per_task=per_task, world=w)
+    per_task = dict(enumerate(w.returned[1:], start=1))  # {} when P == 1
+    return Measurement.clamped(max(per_task.values(), default=0.0), M,
+                               per_task=per_task, world=w)

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 from ..netmodel import NetworkModel, ProgressMode, PutReturnPolicy
-from ..p2pbench import TimingStrategy
 from ..pgas import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
-                    BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE)
+                    BCAST_BINOMIAL, BCAST_LINEAR, DEFAULT_HEAP_SIZE,
+                    TimingStrategy)
 from .runner import FORMATS, MEASUREMENT_TYPES, TYPE_KEYS
 
 

@@ -15,8 +15,7 @@ from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                          measure_bcast_sk, measure_bcast_sync)
 from ..lockbench import LockScenario, measure_lock
 from ..netmodel import ClockModel, NetworkModel
-from ..p2pbench import (DST_OFFSET, SRC_OFFSET, measure_blocking,
-                        measure_nonblocking, measure_quiet)
+from ..p2pbench import measure_blocking, measure_nonblocking, measure_quiet
 from ..pgas import Measurement, PgasWorld, idle
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
@@ -69,11 +68,7 @@ def _p2p_span(new_world, op, nbytes, part):
     w = new_world()
 
     def prog(pe):
-        issue = getattr(pe, op)
-        op_id = yield from (
-            issue(1, SRC_OFFSET, nbytes, dst_offset=DST_OFFSET)
-            if op.startswith("get") else
-            issue(1, DST_OFFSET, nbytes, src_offset=SRC_OFFSET))
+        op_id = yield from p2pbench.issue(pe, op, nbytes)
         return op_id, (yield from pe.quiet())
 
     trace = w.run([prog] + [idle] * (w.npes - 1))

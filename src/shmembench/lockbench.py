@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pgas import INT_SIZE, Measurement, PgasWorld, check_iters, run_fresh
+from .pgas import (INT_SIZE, Measurement, PgasWorld, check_iters, run_fresh,
+                   timed_loop)
 
 LOCK_OFFSET = 0
 FLAG_OFFSET = 1 << 12
@@ -46,15 +47,13 @@ def _uncontended(world, scenario, iters):
     req, home = scenario.requester_pe, scenario.home_pe
 
     def prog(pe):
-        yield from pe.barrier()
-        if pe.rank != req:
-            return
-        t1 = yield from pe.stamp_begin()
-        for _ in range(iters):
+        def body(i):
             yield from pe.lock_set(LOCK_OFFSET, home)
             yield from pe.lock_clear(LOCK_OFFSET, home)
-        t2 = yield from pe.stamp_end()
-        return (t2 - t1) / iters
+
+        yield from pe.barrier()
+        if pe.rank == req:
+            return (yield from timed_loop(pe, body, iters))
 
     return Measurement(run_fresh(world, prog).returned[req], iters)
 

@@ -27,6 +27,11 @@ payload completes in `PgasWorld._land`, every request/reply pair is
 `PgasWorld._round_trip`, a lock is handed over in `PgasWorld._grant`, and
 `Pe._collective` brackets each barrier and broadcast. A blocking call's
 result is the value its wait resumes with.
+
+The measurement functions share one skeleton: `run_fresh` runs a program
+on a fresh world, `timed_loop` times a loop of calls with either
+`TimingStrategy`, and `Measurement.clamped` reports a difference of
+timings, clamped at zero.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import cached_property, partial
 from types import GeneratorType
 from typing import Callable, Generator, Iterable
@@ -81,6 +87,7 @@ _CMP = {
 _INT = struct.Struct("<q")
 INT_SIZE = _INT.size
 DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
+BUSY_WAIT_UNIT = 1e-9  # seconds of one busy-wait work unit
 
 BCAST_LINEAR = "linear"
 BCAST_BINOMIAL = "binomial"
@@ -154,14 +161,12 @@ class Pe:
         if dt > 0:
             yield _Advance(dt)
 
-    def read_timer(self):
+    def stamp_begin(self):
         """Sample the local clock, then charge the timer-read overhead."""
         w = self.world
         t = w.clock.local_time(self.rank, w.now)
         yield _Advance(w.clock.timer_overhead)
         return t
-
-    stamp_begin = read_timer
 
     def stamp_end(self):
         """Charge the timer-read overhead, then sample the local clock.
@@ -176,11 +181,10 @@ class Pe:
 
     def busy_wait(self, seconds: float):
         """Spin for >= `seconds` in whole work units; returns actual elapsed."""
-        w = self.world
         if seconds <= 0:
             return 0.0
-        units = -int(-seconds / w.busy_wait_unit // 1)  # ceil
-        dt = units * w.busy_wait_unit
+        units = -int(-seconds / BUSY_WAIT_UNIT // 1)  # ceil
+        dt = units * BUSY_WAIT_UNIT
         yield _Advance(dt)
         return dt
 
@@ -512,8 +516,7 @@ class PgasWorld:
                  heap_size: int = DEFAULT_HEAP_SIZE,
                  bcast_topology: str = BCAST_BINOMIAL,
                  barrier_algo: str = BARRIER_DISSEMINATION,
-                 barrier_root: int = 0,
-                 busy_wait_unit: float = 1e-9):
+                 barrier_root: int = 0):
         if npes < 1:
             raise ValueError("npes must be >= 1")
         clock = clock if clock is not None else ClockModel.ideal(npes)
@@ -525,8 +528,6 @@ class PgasWorld:
             raise ValueError(f"unknown barrier algorithm {barrier_algo!r}")
         if not 0 <= barrier_root < npes:
             raise ValueError("barrier_root out of range")
-        if busy_wait_unit <= 0:
-            raise ValueError("busy_wait_unit must be > 0")
         if heap_size < 0:
             raise ValueError("heap_size must be >= 0")
         self.npes = npes
@@ -536,7 +537,6 @@ class PgasWorld:
         self.bcast_topology = bcast_topology
         self.barrier_algo = barrier_algo
         self.barrier_root = barrier_root
-        self.busy_wait_unit = busy_wait_unit
 
         self.trace = GroundTruthTrace()
         self.now = 0.0
@@ -572,8 +572,7 @@ class PgasWorld:
                          heap_size=self.heap_size,
                          bcast_topology=self.bcast_topology,
                          barrier_algo=self.barrier_algo,
-                         barrier_root=self.barrier_root,
-                         busy_wait_unit=self.busy_wait_unit)
+                         barrier_root=self.barrier_root)
 
     @cached_property
     def heap(self) -> list[bytearray]:
@@ -815,15 +814,46 @@ def check_iters(iters: int, name: str = "iters"):
         raise ValueError(f"{name} must be >= 1")
 
 
+class TimingStrategy(Enum):
+    GLOBAL_LOOP = "global_loop"      # one timer pair outside the loop
+    PER_ITERATION = "per_iteration"  # timer pair inside every iteration
+
+
+def timed_loop(pe: Pe, body: Callable[[int], Generator], iters: int,
+               strategy: TimingStrategy = TimingStrategy.GLOBAL_LOOP,
+               timed: bool = True):
+    """Run `body(i)` for i in range(iters); returns the mean local time per
+    iteration. An untimed PE reads no timer, so it pays no timer overhead,
+    and returns None."""
+    if not timed:
+        for i in range(iters):
+            yield from body(i)
+        return None
+    if strategy is TimingStrategy.PER_ITERATION:
+        total = 0.0
+        for i in range(iters):
+            t1 = yield from pe.stamp_begin()
+            yield from body(i)
+            t2 = yield from pe.stamp_end()
+            total += t2 - t1
+        return total / iters
+    t1 = yield from pe.stamp_begin()
+    for i in range(iters):
+        yield from body(i)
+    t2 = yield from pe.stamp_end()
+    return (t2 - t1) / iters
+
+
 @dataclass
 class Measurement:
     """One measured per-call time and the conditions under which it holds.
 
     `result` is the time per call over `iterations` timed calls. `flags`
-    name a doubtful result (`unstable`: clamped at zero; `unstable_pilot`;
-    `invalid`: most windows overran), `components` hold the terms it was
-    derived from, `per_task` a per-PE estimate, `discarded` the overrun
-    windows, and `world` the run, kept only where trace checks need it.
+    name a doubtful result (`unstable`: a difference clamped at zero, see
+    `clamped`; `invalid`: most windows overran), `components` hold the
+    terms it was derived from, `per_task` a per-PE estimate, `discarded`
+    the overrun windows, and `world` the run, kept only where trace checks
+    need it.
     """
     result: float
     iterations: int
@@ -832,3 +862,11 @@ class Measurement:
     per_task: dict[int, float] = field(default_factory=dict)
     discarded: int = 0
     world: PgasWorld | None = None
+
+    @classmethod
+    def clamped(cls, result: float, iterations: int, **fields) -> "Measurement":
+        """A measurement whose `result` is a difference of timings: a
+        negative one is reported as 0 and flagged `unstable`."""
+        if result < 0:
+            return cls(0.0, iterations, ["unstable"], **fields)
+        return cls(result, iterations, **fields)

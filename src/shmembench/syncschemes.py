@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pgas import Measurement, PgasWorld, check_iters, run_fresh
+from .pgas import Measurement, PgasWorld, check_iters, run_fresh, timed_loop
 
 OFFSET_PROBE_REPS = 16
 
@@ -91,12 +91,7 @@ def measure_barrier_time(world: PgasWorld, iters: int = 100) -> Measurement:
 
     def prog(pe):
         yield from pe.barrier()
-        if pe.rank == 0:
-            t1 = yield from pe.stamp_begin()
-        for _ in range(iters):
-            yield from pe.barrier()
-        if pe.rank == 0:
-            t2 = yield from pe.stamp_end()
-            return (t2 - t1) / iters
+        return (yield from timed_loop(pe, lambda i: pe.barrier(), iters,
+                                      timed=pe.rank == 0))
 
     return Measurement(run_fresh(world, prog).returned[0], iters)

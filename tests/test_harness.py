@@ -19,9 +19,8 @@ from shmembench.harness.cli import main as cli_main
 from shmembench.harness.config import (SECTION_KEYS, BenchConfig,
                                        MeasurementSpec)
 from shmembench.netmodel import NetworkModel, ProgressMode, PutReturnPolicy
-from shmembench.p2pbench import TimingStrategy
 from shmembench.pgas import (BARRIER_REDUCE_BCAST, DEFAULT_HEAP_SIZE,
-                             Measurement)
+                             Measurement, TimingStrategy)
 
 ROOT = Path(__file__).parent.parent
 EXAMPLES = ROOT / "examples.conf"

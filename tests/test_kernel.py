@@ -34,7 +34,7 @@ def _jittered_wire():
         right = (me + 1) % P
         for i in range(3):
             yield from pe.put(right, 64 * i, 8 * (i + 1), src_offset=1024)
-            t = yield from pe.read_timer()
+            t = yield from pe.stamp_begin()
             yield from pe.get(right, 256, 16 * i)
             yield from pe.advance(1e-7 * me)
         yield from pe.quiet()
@@ -171,7 +171,7 @@ def _remote_clock():
         seen = []
         for target in (1, 2, 1):
             seen.append((yield from pe.fetch_remote_clock(target)))
-            seen.append((yield from pe.read_timer()))
+            seen.append((yield from pe.stamp_begin()))
         return seen
 
     w = PgasWorld(3, JITTER, clock)

@@ -89,8 +89,8 @@ class TestReadTimer:
         out = {}
 
         def prog(pe):
-            out["a"] = yield from pe.read_timer()
-            out["b"] = yield from pe.read_timer()
+            out["a"] = yield from pe.stamp_begin()
+            out["b"] = yield from pe.stamp_begin()
 
         world.run([prog])
         return out["a"], out["b"]
@@ -115,7 +115,7 @@ class TestReadTimer:
 
             def prog(pe):
                 for _ in range(nreads):
-                    yield from pe.read_timer()
+                    yield from pe.stamp_begin()
 
             world.run([prog])
             return world.now

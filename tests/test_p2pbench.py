@@ -5,6 +5,7 @@ import pytest
 from shmembench import (ClockModel, NetworkModel, PgasWorld, ProgressMode,
                         TimingStrategy, calibrate_busy_wait, measure_blocking,
                         measure_nonblocking, measure_quiet)
+from shmembench.pgas import BUSY_WAIT_UNIT
 
 O_S, O_R, L_WIRE, G = 1e-7, 1e-7, 1e-6, 1e-9
 LEG = O_S + L_WIRE + O_R
@@ -95,6 +96,31 @@ class TestOverlap:
         over = measure_nonblocking(w, "put", "overlap", n, iters=8)
         assert over.result < 0.05 * full.result
 
+    def test_one_pilot_run(self, monkeypatch):
+        # the overlap loop and its pilot full loop: one world run each
+        runs = []
+        run = PgasWorld.run
+
+        def counting_run(world, programs):
+            runs.append(world)
+            return run(world, programs)
+
+        monkeypatch.setattr(PgasWorld, "run", counting_run)
+        measure_nonblocking(_world(), "put", "overlap", 1024, iters=8)
+        assert len(runs) == 2
+
+    @pytest.mark.parametrize("kind", ["put", "get"])
+    def test_pilot_is_the_full_measurement_on_a_jittered_wire(self, kind):
+        # every run of one template replays the same jitter stream, so a
+        # repeated pilot would only repeat this value
+        net = NetworkModel(o_s=O_S, o_r=O_R, L=L_WIRE, G=G,
+                           jitter_half_width=2e-7)
+        w = PgasWorld(2, net, ClockModel(2, jitter_seed=7))
+        over = measure_nonblocking(w, kind, "overlap", 4096, iters=8)
+        full = measure_nonblocking(w, kind, "full", 4096, iters=8)
+        assert over.components["full"] == full.result
+        assert over.flags == []
+
     def test_on_quiet_cannot_overlap(self):
         # deferred transfers launch inside quiet, after the busy wait, so
         # the active time stays equal to the full time
@@ -112,4 +138,4 @@ class TestQuietAndCalibration:
 
     def test_busy_wait_rate(self):
         rate = calibrate_busy_wait(_world(), units=10000)
-        assert rate > 0
+        assert rate == pytest.approx(1.0 / BUSY_WAIT_UNIT, rel=1e-9)
