@@ -19,14 +19,20 @@ of the queue continues at once, without a push and a pop; one that ends at
 the head's time or later is queued, so an event queued earlier at the same
 time still runs first.
 
-A world's symmetric heap is allocated and zeroed on its first access, so a
-template world that `run_fresh` only copies holds no heap memory.
+Heap bytes exist only where a run touches them. Each PE's symmetric heap
+is allocated and zeroed on that PE's first access, so a template world that
+`run_fresh` only copies holds none, and neither does a PE that no operation
+addresses. A payload below `LEND_MIN` bytes is copied when it is sent; a
+larger one is lent: it lands with one copy straight from its source heap,
+and a write to that source before it lands first gives it its own copy.
+Either way a payload delivers the bytes its source held at send time.
 
-PE operations share a few message shapes, each written once: every RMA
-payload completes in `PgasWorld._land`, every request/reply pair is
-`PgasWorld._round_trip`, a lock is handed over in `PgasWorld._grant`, and
-`Pe._collective` brackets each barrier and broadcast. A blocking call's
-result is the value its wait resumes with.
+PE operations share a few message shapes, each written once: every
+payload is taken in `PgasWorld._take`, every heap byte is written in
+`PgasWorld._write`, every RMA payload completes in `PgasWorld._land`, every
+request/reply pair is `PgasWorld._round_trip`, a lock is handed over in
+`PgasWorld._grant`, and `Pe._collective` brackets each barrier and
+broadcast. A blocking call's result is the value its wait resumes with.
 
 The measurement functions share one skeleton: `run_fresh` runs a program
 on a fresh world, `timed_loop` times a loop of calls with either
@@ -40,10 +46,10 @@ import heapq
 import operator
 import random
 import struct
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from types import GeneratorType
 from typing import Callable, Generator, Iterable
 
@@ -88,6 +94,11 @@ _INT = struct.Struct("<q")
 INT_SIZE = _INT.size
 DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
 BUSY_WAIT_UNIT = 1e-9  # seconds of one busy-wait work unit
+# Payloads of at least this many bytes are lent from their source heap
+# rather than copied when sent. A loan costs about 2 us more to track than
+# a copy; at 32 KiB a copy is still cheaper for a broadcast hop, and from
+# 64 KiB a loan is cheaper for a put, an nbi put loop and a broadcast.
+LEND_MIN = 64 << 10
 
 BCAST_LINEAR = "linear"
 BCAST_BINOMIAL = "binomial"
@@ -121,6 +132,22 @@ class _OpState:
         self.delivered = False
         self.done = _Signal()
         self.deferred = None  # set for ON_QUIET non-blocking ops
+
+
+class _Loan:
+    """A payload lent from `pe`'s heap range [offset, end). It lands
+    straight from there, unless a write to the range comes first and gives
+    it `data`, its own copy."""
+    __slots__ = ("pe", "offset", "end", "data")
+
+    def __init__(self, pe: int, offset: int, end: int):
+        self.pe = pe
+        self.offset = offset
+        self.end = end
+        self.data: bytearray | None = None
+
+    def __len__(self) -> int:
+        return self.end - self.offset
 
 
 class _LockState:
@@ -206,12 +233,13 @@ class Pe:
         return self.world._heap_read_int(self.rank, offset)
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
-        self.world._check_range(self.rank, offset, nbytes)
-        return bytes(self.world.heap[self.rank][offset:offset + nbytes])
+        w = self.world
+        w._check_range(self.rank, offset, nbytes)
+        return bytes(memoryview(w.heap[self.rank])[offset:offset + nbytes])
 
     def write_bytes(self, offset: int, data: bytes):
         self.world._check_range(self.rank, offset, len(data))
-        self.world.heap[self.rank][offset:offset + len(data)] = data
+        self.world._write(self.rank, offset, data)
 
     # -- one-sided RMA --------------------------------------------------------
 
@@ -241,7 +269,7 @@ class Pe:
             w._land(op, rank, rank, dst, data)
 
         w._round_trip(rank, target, w.now + w.net.o_s, 0,
-                      lambda: w.heap[target][offset:offset + nbytes], nbytes,
+                      partial(w._take, target, offset, nbytes), nbytes,
                       complete)
         yield _Wait(op.done, f"get {op.op_id} completion")
         return op.op_id
@@ -259,7 +287,7 @@ class Pe:
         op = w._post_rma(self.rank, target, offset, self.rank, dst, nbytes)
         rank = self.rank
         return (yield from self._post_nbi(op, lambda: w._round_trip(
-            rank, target, w.now, 0, lambda: w.heap[target][offset:offset + nbytes],
+            rank, target, w.now, 0, partial(w._take, target, offset, nbytes),
             nbytes, partial(w._land, op, rank, rank, dst))))
 
     def _post_nbi(self, op: _OpState, launch: Callable[[], object]):
@@ -426,10 +454,10 @@ class Pe:
     def _send_payload(self, dst: int, key, offset: int, nbytes: int) -> float:
         """Inject one broadcast data message; returns its departure."""
         w = self.world
-        data = w.heap[self.rank][offset:offset + nbytes]
+        data = w._take(self.rank, offset, nbytes)
 
         def deliver():
-            w.heap[dst][offset:offset + nbytes] = data
+            w._write(dst, offset, data)
             w._heap_written(dst, offset, nbytes)
             w._mail_deliver(dst, key)
 
@@ -508,8 +536,10 @@ class Pe:
 class PgasWorld:
     """The simulated machine: PEs, symmetric heap, NIC queues, trace.
 
-    The heap is allocated on first access, so a world that never touches
-    memory (a template copied by `fresh`, a barrier-only run) holds none.
+    `heap` maps each PE to its zeroed `heap_size`-byte heap, allocated on
+    that PE's first lookup: a world that never touches memory (a template
+    copied by `fresh`, a barrier-only run) holds none, and a run holds one
+    heap per PE that it addresses.
     """
 
     def __init__(self, npes: int, net: NetworkModel, clock: ClockModel | None = None,
@@ -538,6 +568,9 @@ class PgasWorld:
         self.barrier_algo = barrier_algo
         self.barrier_root = barrier_root
 
+        self.heap: dict[int, bytearray] = defaultdict(
+            partial(bytearray, heap_size))
+        self._loans: set[_Loan] = set()  # lent payloads not yet landed
         self.trace = GroundTruthTrace()
         self.now = 0.0
         self._queue: list = []
@@ -573,12 +606,6 @@ class PgasWorld:
                          bcast_topology=self.bcast_topology,
                          barrier_algo=self.barrier_algo,
                          barrier_root=self.barrier_root)
-
-    @cached_property
-    def heap(self) -> list[bytearray]:
-        """`npes` zeroed heaps of `heap_size` bytes, all allocated on the
-        first access."""
-        return [bytearray(self.heap_size) for _ in range(self.npes)]
 
     def pe(self, rank: int) -> Pe:
         return Pe(self, rank)
@@ -705,16 +732,16 @@ class PgasWorld:
 
     def _send_put(self, op: _OpState, rank: int, src: int, target: int,
                   offset: int, nbytes: int, ser_bytes: int):
-        """Copy `rank`'s source bytes now and inject them towards `target`."""
-        data = self.heap[rank][src:src + nbytes]
+        """Take `rank`'s source bytes now and inject them towards `target`."""
+        data = self._take(rank, src, nbytes)
         self._inject(rank, self.now, ser_bytes,
                      partial(self._land, op, rank, target, offset, data))
 
-    def _land(self, op: _OpState, rank: int, pe: int, offset: int,
-              data: bytearray):
-        """Complete `rank`'s RMA op `op`: write its payload to `pe`'s heap,
-        wake the cells it satisfies and whoever waits for the op."""
-        self.heap[pe][offset:offset + len(data)] = data
+    def _land(self, op: _OpState, rank: int, pe: int, offset: int, data):
+        """Complete `rank`'s RMA op `op`: write its payload (from `_take`)
+        to `pe`'s heap, wake the cells it satisfies and whoever waits for
+        the op."""
+        self._write(pe, offset, data)
         op.delivered = True
         self._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
         self._heap_written(pe, offset, len(data))
@@ -749,7 +776,39 @@ class PgasWorld:
 
     def _heap_write_int(self, pe: int, offset: int, value: int):
         self._check_range(pe, offset, INT_SIZE)
-        _INT.pack_into(self.heap[pe], offset, value)
+        self._write(pe, offset, _INT.pack(value))
+
+    def _take(self, pe: int, offset: int, nbytes: int):
+        """The payload of `pe`'s `nbytes` heap bytes at `offset`, as they
+        read now: a copy below `LEND_MIN` bytes, a loan from there up."""
+        if nbytes < LEND_MIN:
+            return self.heap[pe][offset:offset + nbytes]
+        loan = _Loan(pe, offset, offset + nbytes)
+        self._loans.add(loan)
+        return loan
+
+    def _write(self, pe: int, offset: int, data):
+        """Write `data` (bytes, or a payload from `_take`) to `pe`'s heap at
+        `offset`. Every loan whose source range the write overlaps first
+        gets its own copy; that includes a lent `data` whose source and
+        destination overlap, so no copy runs from a range onto itself."""
+        heap = self.heap[pe]
+        end = offset + len(data)
+        loans = self._loans
+        if loans:
+            for loan in [lo for lo in loans if lo.pe == pe
+                         and lo.offset < end and offset < lo.end]:
+                loan.data = heap[loan.offset:loan.end]
+                loans.remove(loan)
+        if type(data) is _Loan:
+            loan, data = data, data.data
+            if data is None:
+                # a bytearray slice assignment would copy a view first
+                loans.remove(loan)
+                memoryview(heap)[offset:end] = memoryview(
+                    self.heap[loan.pe])[loan.offset:loan.end]
+                return
+        heap[offset:end] = data
 
     def _heap_written(self, pe: int, offset: int, nbytes: int):
         """Re-check cell waiters after a write to [offset, offset+nbytes)."""

@@ -1,6 +1,10 @@
-"""Shared trace-property checkers used by several test modules."""
+"""Shared trace-property checkers and run comparisons used by several test
+modules."""
 
+from shmembench import DeadlockError, pgas
 from shmembench.trace import LOCK_ACQUIRED, LOCK_RELEASED
+
+LEND_NONE = 1 << 62  # a `LEND_MIN` above every payload: none is lent
 
 
 def assert_sk_protocol(world, npes, M):
@@ -33,3 +37,39 @@ def assert_lock_alternation(trace, expected_acquisitions):
         assert acq.pe == rel.pe
         counts[acq.pe] += 1
     assert counts == expected_acquisitions
+
+
+def run_outcome(world, programs):
+    """Everything a run shows: its trace text, each program's return value,
+    the end time, the deadlock message if any, and every heap it
+    allocated."""
+    try:
+        world.run(programs)
+        end = None
+    except DeadlockError as e:
+        end = str(e)
+    return (world.trace.export_text(), world.returned, world.now, end,
+            dict(world.heap))
+
+
+def lent_and_copied(build, monkeypatch):
+    """`run_outcome(*build()[:2])` with every non-empty payload lent, then
+    with every payload copied; checks that the first run lent each payload
+    that the second copied."""
+    take, lent = pgas.PgasWorld._take, []
+
+    def spy(self, pe, offset, nbytes):
+        data = take(self, pe, offset, nbytes)
+        if nbytes:
+            lent.append(type(data) is pgas._Loan)
+        return data
+
+    monkeypatch.setattr(pgas.PgasWorld, "_take", spy)
+    outcomes, taken = [], []
+    for lend_min in (1, LEND_NONE):
+        monkeypatch.setattr(pgas, "LEND_MIN", lend_min)
+        outcomes.append(run_outcome(*build()[:2]))
+        taken.append(lent[:])
+        lent.clear()
+    assert taken[0] == [True] * len(taken[1]) and not any(taken[1])
+    return outcomes

@@ -13,6 +13,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 emit_results, ground_truth_report,
                                 parse_config, parse_duration, run_config,
                                 run_until_stable)
+from shmembench import PgasWorld, p2pbench
 from shmembench.harness import runner
 from shmembench.harness.runner import TYPE_KEYS
 from shmembench.harness.cli import main as cli_main
@@ -422,6 +423,28 @@ class TestHeapSizing:
         full = run_config(cfg)
         assert emit_results(sized) == emit_results(full)
         assert ground_truth_report(sized) == ground_truth_report(full)
+
+    def test_p2p_types_allocate_heaps_on_pes_0_and_1_only(self, monkeypatch):
+        """Every world of a P2P row at npes = 8, its reference runs
+        included, holds heaps for the two PEs that exchange data only."""
+        p2p = sorted(kind for kind, mtype in MEASUREMENT_TYPES.items()
+                     if mtype.footprint is p2pbench.heap_footprint)
+        assert len(p2p) == 11
+        cfg = parse_config(BASE_CONFIG.split("[measurement")[0].replace(
+            "npes = 4", "npes = 8\nmax_reps = 2") + "".join(f"""
+[measurement.{kind}]
+type = {kind}
+{_keys_read(kind, nbytes="8, 65536", iters=2)}""" for kind in p2p))
+        worlds, run = [], PgasWorld.run
+
+        def capture(self, programs):
+            worlds.append(self)
+            return run(self, programs)
+
+        monkeypatch.setattr(PgasWorld, "run", capture)
+        run_config(cfg)
+        assert {w.npes for w in worlds} == {8}
+        assert {frozenset(w.heap) for w in worlds} == {frozenset({0, 1})}
 
     def test_small_get_world_is_far_below_default_heap(self):
         cfg = parse_config(BASE_CONFIG)

@@ -8,6 +8,9 @@ draws, waiter wake-up order) that moves one event shows up as a diff.
 Regenerate the file only in a change meant to alter simulated results:
 
     PYTHONPATH=src python tests/test_kernel.py --write
+
+Every scenario also runs with each payload lent and with each copied, and
+the two runs must show the same trace, results, time and heaps.
 """
 
 import random
@@ -20,6 +23,8 @@ from shmembench import (ClockModel, DeadlockError, NetworkModel, PgasWorld,
                         ProgressMode, PutReturnPolicy)
 from shmembench.pgas import BARRIER_REDUCE_BCAST, BCAST_LINEAR
 from shmembench.trace import POST, REMOTE_DELIVERED, GroundTruthTrace
+
+from helpers import lent_and_copied
 
 GOLDEN = Path(__file__).parent / "data" / "kernel_trace.txt"
 
@@ -234,6 +239,12 @@ def kernel_trace_text() -> str:
 
 def test_kernel_trace_matches_golden():
     assert kernel_trace_text() == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_lending_changes_nothing_observable(name, monkeypatch):
+    lent, copied = lent_and_copied(SCENARIOS[name], monkeypatch)
+    assert lent == copied
 
 
 class TestTies:

@@ -15,6 +15,8 @@ from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
 
+from helpers import lent_and_copied
+
 NET = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, G=1e-9)
 LEG = NET.o_s + NET.L + NET.o_r  # zero-payload one-way cost
 
@@ -352,8 +354,9 @@ def _traced(fn):
 
 
 class TestHeapOnFirstAccess:
-    """A world's symmetric heap is allocated and zeroed on first access,
-    for every PE at once; a world that never touches memory holds none."""
+    """Each PE's symmetric heap is allocated and zeroed on that PE's first
+    access; a world that never touches memory holds none, and a run holds
+    heaps only for the PEs it addresses."""
 
     SMALL = 256 << 10  # far below one 2 MiB PE heap
 
@@ -401,7 +404,15 @@ class TestHeapOnFirstAccess:
         world.run([self._write, idle, idle])
         expect = [bytearray(DEFAULT_HEAP_SIZE) for _ in range(3)]
         expect[0][16:22] = expect[1][64:70] = b"local!"
-        assert world.heap == expect
+        assert world.heap == {0: expect[0], 1: expect[1]}  # PE 2 untouched
+        assert world.heap[2] == expect[2]
+
+    def test_untouched_pe_reads_zeros(self):
+        world = run_fresh(PgasWorld(3, NET), self._write, ranks=(0,))
+        assert sorted(world.heap) == [0, 1]
+        assert world.pe(2).read_bytes(0, DEFAULT_HEAP_SIZE) == bytes(
+            DEFAULT_HEAP_SIZE)
+        assert world.pe(2).load_int(DEFAULT_HEAP_SIZE - 8) == 0
 
     @pytest.mark.parametrize("heap_size", [8, DEFAULT_HEAP_SIZE])
     def test_access_past_heap_size_faults(self, heap_size):
@@ -420,7 +431,8 @@ class TestHeapOnFirstAccess:
         world = PgasWorld(2, NET, heap_size=heap_size)
         with pytest.raises(HeapFault):
             world.run([prog, idle])
-        assert [len(h) for h in world.heap] == [heap_size] * 2
+        # the put faults before PE 1's heap is touched
+        assert {pe: len(h) for pe, h in world.heap.items()} == {0: heap_size}
         assert world.heap[0][:2] == b"in"
 
 
@@ -454,39 +466,198 @@ class TestTrace:
             assert len(t.split("e")[0].replace(".", "").replace("-", "")) >= 12
 
 
+BIG = pgas.LEND_MIN  # the smallest payload that is lent
+SRC, DST = 0, 1 << 20
+OLD = bytes(i * 7 % 251 for i in range(2 * BIG))  # no period of 8
+NEW = bytes(b ^ 0xFF for b in OLD)
+
+
+def _in_flight(trace, op_id, t):
+    """Whether time `t` falls after op `op_id` was posted and before its
+    payload landed."""
+    ev = trace.op_events[op_id]
+    return ev[POST] < t < ev[REMOTE_DELIVERED]
+
+
+# Each builder returns a world, its programs and a check of the run world.
+# The payload of each case delivers the bytes its source held at send time,
+# although the source is written before the payload lands.
+
+def _put_then(nbytes, mutate):
+    """PE 0 puts `nbytes` to PE 1, then `mutate`s its source."""
+    def prog(pe):
+        pe.write_bytes(SRC, OLD[:nbytes])
+        op = yield from pe.put(1, DST, nbytes, src_offset=SRC)
+        mutate(pe)
+        return op, pe.world.now
+
+    def check(world):
+        op, ret = world.returned[0]
+        # local-completion return: the source is reusable before delivery
+        assert _in_flight(world.trace, op, ret)
+        assert world.pe(1).read_bytes(DST, nbytes) == OLD[:nbytes]
+
+    return PgasWorld(2, NET), [prog, idle], check
+
+
+def _bcast_then_write(nbytes):
+    """The root of a broadcast overwrites its buffer as soon as it
+    returns."""
+    def prog(pe):
+        if pe.rank == 0:
+            pe.write_bytes(SRC, OLD[:nbytes])
+        yield from pe.broadcast(0, SRC, nbytes)
+        if pe.rank == 0:
+            pe.write_bytes(SRC, NEW[:nbytes])
+        return pe.world.now
+
+    def check(world):
+        exits = world.trace.bcast_instances[0]["exit"]
+        assert world.returned[0] < max(exits.values())
+        for rank in (1, 2, 3):
+            assert world.pe(rank).read_bytes(SRC, nbytes) == OLD[:nbytes]
+
+    return PgasWorld(4, NET), [prog] * 4, check
+
+
+def _nbi_racing(npes, racer, racer_time):
+    """PE 0 sends a lent put to PE 1, then every PE runs `racer`, which
+    writes PE 0's source while the put is in flight; `racer_time(world)` is
+    when that write happened."""
+    def prog(pe):
+        op = None
+        if pe.rank == 0:
+            pe.write_bytes(SRC, OLD[:BIG])
+            op = yield from pe.put_nbi(1, DST, BIG, src_offset=SRC)
+        raced = yield from racer(pe)
+        yield from pe.quiet()
+        return op, raced
+
+    def check(world):
+        assert _in_flight(world.trace, world.returned[0][0],
+                          racer_time(world))
+        assert world.pe(1).read_bytes(DST, BIG) == OLD[:BIG]
+
+    return PgasWorld(npes, NET), [prog] * npes, check
+
+
+def _fetch_inc_racing():
+    def racer(pe):
+        if pe.rank == 1:
+            yield from pe.fetch_inc(0, SRC + 16)
+
+    return _nbi_racing(2, racer, lambda w: next(
+        e.t_global for e in w.trace.entries if e.kind == ACK_INC))
+
+
+def _put_racing():
+    def racer(pe):
+        if pe.rank == 1:
+            pe.write_bytes(4096, NEW[:8])
+            return (yield from pe.put(0, SRC + 24, 8, src_offset=4096))
+
+    def landed(w):
+        assert w.pe(0).read_bytes(SRC + 24, 8) == NEW[:8]
+        return w.trace.op_events[w.returned[1][1]][REMOTE_DELIVERED]
+
+    return _nbi_racing(2, racer, landed)
+
+
+def _broadcast_racing():
+    def racer(pe):
+        if pe.rank == 2:
+            pe.write_bytes(SRC, NEW[:8])
+        yield from pe.broadcast(2, SRC, 8)
+
+    def landed(w):
+        assert w.pe(0).read_bytes(SRC, 8) == NEW[:8]
+        return w.trace.bcast_instances[0]["exit"][0]
+
+    return _nbi_racing(3, racer, landed)
+
+
+def _self_put_overlapping():
+    """Two lent puts from PE 0 to itself; the first lands on the second's
+    source, and its own source and destination overlap."""
+    def prog(pe):
+        pe.write_bytes(0, OLD[:BIG + 8])
+        first = yield from pe.put_nbi(0, 8, BIG, src_offset=0)
+        second = yield from pe.put_nbi(0, 2 * BIG, BIG, src_offset=0)
+        yield from pe.quiet()
+        return first, second
+
+    def check(world):
+        first, second = world.returned[0]
+        trace = world.trace
+        assert _in_flight(trace, second,
+                          trace.op_events[first][REMOTE_DELIVERED])
+        assert world.pe(0).read_bytes(8, BIG) == OLD[:BIG]
+        assert world.pe(0).read_bytes(2 * BIG, BIG) == OLD[:BIG]
+
+    return PgasWorld(1, NET), [prog], check
+
+
+WRITE_AT = 5e-6  # after a get's serve, before its payload lands
+
+
+def _get_target_written():
+    def prog(pe):
+        return (yield from pe.get(1, SRC, BIG, dst_offset=DST))
+
+    def target(pe):
+        pe.write_bytes(SRC, OLD[:BIG])
+        yield from pe.advance(WRITE_AT)
+        pe.write_bytes(SRC, NEW[:BIG])
+
+    def check(world):
+        op = world.returned[0]
+        assert world.trace.op_events[op][POST] + 2 * LEG < WRITE_AT
+        assert _in_flight(world.trace, op, WRITE_AT)
+        assert world.pe(0).read_bytes(DST, BIG) == OLD[:BIG]
+
+    return PgasWorld(2, NET), [prog, target], check
+
+
+RACES = {
+    "write_bytes": lambda: _put_then(
+        BIG, lambda pe: pe.write_bytes(SRC, NEW[:BIG])),
+    "store_int": lambda: _put_then(
+        BIG, lambda pe: pe.store_int(SRC + 8, -1)),
+    "broadcast_root_write_bytes": lambda: _bcast_then_write(BIG),
+    "fetch_inc": _fetch_inc_racing,
+    "incoming_put": _put_racing,
+    "incoming_broadcast": _broadcast_racing,
+    "self_put_overlapping": _self_put_overlapping,
+    "get_target_written": _get_target_written,
+}
+DATA_PATH = {
+    "put_8": lambda: _put_then(8, lambda pe: pe.write_bytes(SRC, NEW[:8])),
+    "broadcast_8": lambda: _bcast_then_write(8),
+    **RACES,
+}
+
+
+def _run_checked(build):
+    world, programs, check = build()
+    world.run(programs)
+    check(world)
+
+
 class TestDataPath:
     def test_put_payload_is_taken_at_send_time(self):
-        out = {}
-
-        def prog(pe):
-            pe.write_bytes(0, b"old-data")
-            out["op"] = yield from pe.put(1, 64, 8, src_offset=0)
-            out["ret"] = pe.world.now
-            pe.write_bytes(0, b"new-data")
-
-        world, trace = run2(NET, prog)
-        # local-completion return: the source is reusable before delivery
-        assert out["ret"] < trace.op_events[out["op"]][REMOTE_DELIVERED]
-        assert world.pe(1).read_bytes(64, 8) == b"old-data"
+        _run_checked(DATA_PATH["put_8"])
 
     def test_broadcast_payload_is_taken_at_send_time(self):
-        out = {}
+        _run_checked(DATA_PATH["broadcast_8"])
 
-        def prog(pe):
-            if pe.rank == 0:
-                pe.write_bytes(128, b"payload!")
-            yield from pe.broadcast(0, 128, 8)
-            if pe.rank == 0:
-                out["ret"] = pe.world.now
-                pe.write_bytes(128, b"mutated!")
-            else:
-                out[pe.rank] = pe.read_bytes(128, 8)
+    @pytest.mark.parametrize("case", RACES)
+    def test_write_racing_a_lent_payload(self, case):
+        _run_checked(RACES[case])
 
-        world = PgasWorld(4, NET)
-        trace = world.run([prog] * 4)
-        assert out["ret"] < max(trace.bcast_instances[0]["exit"].values())
-        assert [out[r] for r in (1, 2, 3)] == [b"payload!"] * 3
-
+    @pytest.mark.parametrize("case", DATA_PATH)
+    def test_lending_changes_nothing_observable(self, case, monkeypatch):
+        lent, copied = lent_and_copied(DATA_PATH[case], monkeypatch)
+        assert lent == copied
 
 
 FAR = DEFAULT_HEAP_SIZE - 4  # an 8-byte range from here runs past the heap
@@ -545,8 +716,9 @@ class TestCallChecks:
         self._assert_untouched(world)
 
 
-class _SliceAssignments(ast.NodeVisitor):
-    """The qualified scope of every `x[a:b] = ...` in a module."""
+class _HeapWrites(ast.NodeVisitor):
+    """The qualified scope of every `x[a:b] = ...` and every
+    `x.pack_into(...)` in a module."""
 
     def __init__(self):
         self.scope, self.sites = [], []
@@ -565,11 +737,22 @@ class _SliceAssignments(ast.NodeVisitor):
                 self.sites.append(".".join(self.scope))
         self.generic_visit(node)
 
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pack_into"):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
 
-def test_heap_slices_are_written_in_three_places():
-    """RMA payloads land only in `_land`; the other heap writes are a
-    broadcast payload's delivery and a PE's own `write_bytes`."""
-    visitor = _SliceAssignments()
-    visitor.visit(ast.parse(Path(pgas.__file__).read_text()))
-    assert sorted(visitor.sites) == ["Pe._send_payload.deliver",
-                                     "Pe.write_bytes", "PgasWorld._land"]
+
+def test_heap_bytes_are_written_only_in_write():
+    """Every write to a heap, an RMA or broadcast payload, a local store or
+    an atomic update, goes through `PgasWorld._write`, which gives each
+    lent payload that the write overlaps its own copy first."""
+    package = Path(pgas.__file__).parent
+    for module in package.rglob("*.py"):
+        visitor = _HeapWrites()
+        visitor.visit(ast.parse(module.read_text()))
+        if module.name == "pgas.py":
+            assert set(visitor.sites) == {"PgasWorld._write"}
+        else:
+            assert visitor.sites == [], module

@@ -2,7 +2,8 @@
 
 Every world a measurement runs is captured, and its ground-truth trace must
 keep simulated time monotone, deliver each posted op exactly once, and
-nest each PE's broadcast and barrier instances in call order.
+nest each PE's broadcast and barrier instances in call order. Each example
+either lends every non-empty payload or copies every one.
 """
 
 from collections import Counter
@@ -16,8 +17,11 @@ from shmembench import (ClockModel, LockScenario, NetworkModel, PgasWorld,
                         measure_bcast_sk, measure_bcast_sync,
                         measure_blocking, measure_lock, measure_nonblocking,
                         measure_quiet)
+from shmembench import pgas
 from shmembench.trace import (BARRIER_ENTER, BARRIER_EXIT, BCAST_ENTER,
                               BCAST_EXIT, POST, REMOTE_DELIVERED)
+
+from helpers import LEND_NONE
 
 ITERS = 3
 
@@ -62,16 +66,20 @@ MEASURED_WORLDS = dict(
     seed=st.integers(0, 2**32 - 1),
     jitter=st.sampled_from([0.0, 3e-7]),
     progress=st.sampled_from(list(ProgressMode)),
-    put_return=st.sampled_from(list(PutReturnPolicy)))
+    put_return=st.sampled_from(list(PutReturnPolicy)),
+    lend_min=st.sampled_from([1, LEND_NONE]))
 
 
-def _measured_worlds(kind, npes, nbytes, seed, jitter, progress, put_return):
-    """Every world one measurement of `kind` runs."""
+def _measured_worlds(kind, npes, nbytes, seed, jitter, progress, put_return,
+                     lend_min):
+    """Every world one measurement of `kind` runs, with `LEND_MIN` set to
+    `lend_min`."""
     net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, g=1e-7, G=1e-9,
                        jitter_half_width=jitter, progress_mode=progress,
                        put_return_policy=put_return)
     world = PgasWorld(npes, net, ClockModel.ideal(npes, jitter_seed=seed))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pgas, "LEND_MIN", lend_min)
         worlds = _captured_runs(mp)
         MEASUREMENTS[kind](world, nbytes)
     assert worlds
