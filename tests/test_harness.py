@@ -21,7 +21,7 @@ from shmembench.harness.config import (SECTION_KEYS, BenchConfig,
                                        MeasurementSpec)
 from shmembench.netmodel import NetworkModel, ProgressMode, PutReturnPolicy
 from shmembench.pgas import (BARRIER_REDUCE_BCAST, DEFAULT_HEAP_SIZE,
-                             Measurement, TimingStrategy)
+                             PER_PE_HEAP_MIN, Measurement, TimingStrategy)
 
 ROOT = Path(__file__).parent.parent
 EXAMPLES = ROOT / "examples.conf"
@@ -424,9 +424,11 @@ class TestHeapSizing:
         assert emit_results(sized) == emit_results(full)
         assert ground_truth_report(sized) == ground_truth_report(full)
 
-    def test_p2p_types_allocate_heaps_on_pes_0_and_1_only(self, monkeypatch):
+    def test_p2p_types_allocate_large_heaps_on_pes_0_and_1_only(
+            self, monkeypatch):
         """Every world of a P2P row at npes = 8, its reference runs
-        included, holds heaps for the two PEs that exchange data only."""
+        included, holds heaps for the two PEs that exchange data only once
+        its heap reaches PER_PE_HEAP_MIN; a smaller heap comes for all 8."""
         p2p = sorted(kind for kind, mtype in MEASUREMENT_TYPES.items()
                      if mtype.footprint is p2pbench.heap_footprint)
         assert len(p2p) == 11
@@ -434,7 +436,7 @@ class TestHeapSizing:
             "npes = 4", "npes = 8\nmax_reps = 2") + "".join(f"""
 [measurement.{kind}]
 type = {kind}
-{_keys_read(kind, nbytes="8, 65536", iters=2)}""" for kind in p2p))
+{_keys_read(kind, nbytes="8, 262144", iters=2)}""" for kind in p2p))
         worlds, run = [], PgasWorld.run
 
         def capture(self, programs):
@@ -444,7 +446,9 @@ type = {kind}
         monkeypatch.setattr(PgasWorld, "run", capture)
         run_config(cfg)
         assert {w.npes for w in worlds} == {8}
-        assert {frozenset(w.heap) for w in worlds} == {frozenset({0, 1})}
+        assert {(w.heap_size >= PER_PE_HEAP_MIN, frozenset(w.heap))
+                for w in worlds} == {(True, frozenset({0, 1})),
+                                     (False, frozenset(range(8)))}
 
     def test_small_get_world_is_far_below_default_heap(self):
         cfg = parse_config(BASE_CONFIG)

@@ -10,7 +10,7 @@ import pytest
 from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
                         PgasWorld, ProgressMode, PutReturnPolicy, run_fresh)
 from shmembench import pgas
-from shmembench.pgas import DEFAULT_HEAP_SIZE, idle
+from shmembench.pgas import DEFAULT_HEAP_SIZE, PER_PE_HEAP_MIN, idle
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
@@ -431,9 +431,22 @@ class TestHeapOnFirstAccess:
         world = PgasWorld(2, NET, heap_size=heap_size)
         with pytest.raises(HeapFault):
             world.run([prog, idle])
-        # the put faults before PE 1's heap is touched
-        assert {pe: len(h) for pe, h in world.heap.items()} == {0: heap_size}
+        # the put faults before PE 1's heap is touched, so only a heap
+        # below PER_PE_HEAP_MIN, which comes for every PE at once, is there
+        pes = [0] if heap_size >= PER_PE_HEAP_MIN else [0, 1]
+        assert {pe: len(h) for pe, h in world.heap.items()} == dict.fromkeys(
+            pes, heap_size)
         assert world.heap[0][:2] == b"in"
+
+    @pytest.mark.parametrize("heap_size", [PER_PE_HEAP_MIN - 1,
+                                           PER_PE_HEAP_MIN])
+    def test_small_heaps_come_for_every_pe_at_once(self, heap_size):
+        world = PgasWorld(4, NET, heap_size=heap_size)
+        world.pe(2).store_int(8, 5)
+        pes = [2] if heap_size >= PER_PE_HEAP_MIN else [0, 1, 2, 3]
+        assert sorted(world.heap) == pes
+        assert all(len(h) == heap_size for h in world.heap.values())
+        assert world.pe(2).load_int(8) == 5 and world.pe(3).load_int(8) == 0
 
 
 class TestTrace:
