@@ -203,6 +203,91 @@ def _deadlock():
     return w, [prog] * 4
 
 
+def _zero_cost_wire(algo, topology):
+    """Every cost is zero, so deliveries, wakes and advances tie at one
+    instant and run in queue order."""
+    def prog(pe):
+        me, P = pe.rank, pe.world.npes
+        right, left = (me + 1) % P, (me - 1) % P
+        pe.store_int(0, 10 + me)
+        yield from pe.put(right, 8, 8, src_offset=0)
+        ops = [(yield from pe.put_nbi(left, 16, 8, src_offset=0)),
+               (yield from pe.get_nbi(right, 0, 8, dst_offset=24))]
+        yield from pe.barrier()
+        yield from pe.broadcast(2, 0, 32)
+        if me == 0:
+            yield from pe.wait_until(40, "ge", P - 1)
+        else:
+            ops.append((yield from pe.fetch_inc(0, 40)))
+        yield from pe.advance(1e-6 * (me % 2))
+        yield from pe.lock_set(48, home=3)
+        ops.append((yield from pe.lock_test(56, home=1)))
+        yield from pe.lock_clear(48, home=3)
+        ops.append((yield from pe.stamp_begin()))
+        yield from pe.get(left, 8, 8, dst_offset=64)
+        ops.append((yield from pe.quiet()))
+        yield from pe.barrier()
+        return ops, [pe.load_int(off) for off in (8, 16, 24, 40, 64)]
+
+    w = PgasWorld(4, NetworkModel(), barrier_algo=algo, barrier_root=1,
+                  bcast_topology=topology)
+    return w, [prog] * 4
+
+
+def _deadlock_in_flight():
+    """PEs block in a barrier round, a get, a quiet, a remote-completion
+    put, a fetch_inc, a remote clock fetch, a lock_test and a lock_clear;
+    at 9.5 us every message in flight is lost (the timed queue is emptied),
+    so none of them is ever woken. The heap is small, so PE 0's store
+    allocates every PE's heap whether payloads are lent or copied."""
+    net = NetworkModel(o_s=1e-7, o_r=1.5e-7, L=1e-6, g=5e-8, G=1e-9,
+                       put_return_policy=PutReturnPolicy.REMOTE_COMPLETION)
+
+    def prog(pe):
+        me = pe.rank
+        if me == 0:
+            pe.store_int(128, 1)
+            yield from pe.barrier()
+            return
+        if me == 7:
+            yield from pe.lock_set(32, home=8)
+        if me == 8:
+            yield from pe.advance(9.5e-6)
+            pe.world._queue.clear()
+            return
+        yield from pe.advance(9e-6 - pe.world.now)
+        if me == 1:
+            yield from pe.get(2, 0, 16)
+        elif me == 2:
+            yield from pe.put_nbi(3, 0, 8)
+            yield from pe.quiet()
+        elif me == 3:
+            yield from pe.put(4, 64, 8)
+        elif me == 4:
+            yield from pe.fetch_inc(5, 8)
+        elif me == 5:
+            yield from pe.fetch_remote_clock(6)
+        elif me == 6:
+            yield from pe.lock_test(16, home=7)
+        else:
+            yield from pe.lock_clear(32, home=8)
+
+    w = PgasWorld(9, net, ClockModel.ideal(9, jitter_seed=13),
+                  heap_size=4096)
+    return w, [prog] * 9
+
+
+def _deadlock_reduce_bcast():
+    """PE 3 never enters the barrier: its root waits in the reduce and
+    the PEs that entered wait for the release."""
+    def prog(pe):
+        if pe.rank != 3:
+            yield from pe.barrier()
+
+    w = PgasWorld(4, NET, barrier_algo=BARRIER_REDUCE_BCAST, barrier_root=1)
+    return w, [prog] * 4
+
+
 SCENARIOS = {
     "jittered_wire": _jittered_wire,
     "bcast_linear": lambda: _broadcasts(BCAST_LINEAR, NET, 4, 0),
@@ -216,6 +301,11 @@ SCENARIOS = {
     "fetch_inc_wait_until": _fetch_inc_wait_until,
     "fetch_remote_clock": _remote_clock,
     "deadlock": _deadlock,
+    "zero_cost_wire": lambda: _zero_cost_wire("dissemination", "binomial"),
+    "zero_cost_wire_reduce_linear": lambda: _zero_cost_wire(
+        BARRIER_REDUCE_BCAST, BCAST_LINEAR),
+    "deadlock_in_flight": _deadlock_in_flight,
+    "deadlock_reduce_bcast": _deadlock_reduce_bcast,
 }
 
 
