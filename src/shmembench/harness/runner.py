@@ -43,10 +43,11 @@ class MeasurementType:
     that runs no simulation builds no world. Both must reach measurement
     functions through module names at call time, so a tracer that rebinds
     those names sees every call. `footprint(nbytes)` is the heap bytes per
-    PE they address; it is stored as is, since sizing a heap is not a
-    measurement call. `keys` are the `TYPE_KEYS` it reads; a type that does
-    not read `nbytes` runs once, at nbytes 0. `check(spec, npes)` says why
-    the spec cannot run in `npes` PEs, if so.
+    PE they address, and `reference_footprint(nbytes)`, if set, those of
+    the reference world alone; both are stored as is, since sizing a heap
+    is not a measurement call. `keys` are the `TYPE_KEYS` it reads; a type
+    that does not read `nbytes` runs once, at nbytes 0. `check(spec,
+    npes)` says why the spec cannot run in `npes` PEs, if so.
     """
     run: Callable[[PgasWorld, MeasurementSpec, int], Measurement]
     truth: Callable[[NetworkModel, Callable[[], PgasWorld], MeasurementSpec,
@@ -55,6 +56,7 @@ class MeasurementType:
     keys: frozenset[str]
     min_npes: int = 1
     check: Callable[[MeasurementSpec, int], str | None] = _runs_anywhere
+    reference_footprint: Callable[[int], int] | None = None
 
 
 def _no_truth(net, new_world, spec, nbytes):
@@ -95,9 +97,11 @@ def _nbi(op, variant):
 
 def _bcast(measure, *keys, footprint=collbench.heap_footprint,
            check=_runs_anywhere):
+    # the reference is a plain broadcast, whatever the measured world holds
     return MeasurementType(
         measure, lambda net, new, s, n: ground_truth_bcast_span(new(), n),
-        footprint, frozenset({"nbytes", *keys}), check=check)
+        footprint, frozenset({"nbytes", *keys}), check=check,
+        reference_footprint=collbench.heap_footprint)
 
 
 def _check_window(spec, npes):
@@ -228,15 +232,19 @@ def _derived_seed(seed: int, name: str, nbytes: int, rep: int) -> int:
 
 
 def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
-                 jitter_seed: int) -> PgasWorld:
-    """A world whose heap holds exactly what the measurement addresses
-    (`parse_config` rejects a footprint above the default heap size)."""
+                 jitter_seed: int, reference: bool = False) -> PgasWorld:
+    """A world whose heap holds exactly what the measurement, or with
+    `reference` its reference run, addresses (`parse_config` rejects a
+    footprint above the default heap size)."""
+    mtype = MEASUREMENT_TYPES[spec.type]
+    footprint = ((reference and mtype.reference_footprint)
+                 or mtype.footprint)
     npes = spec.npes if spec.npes is not None else cfg.npes
     clock = ClockModel(npes, drift_rate=cfg.drift, initial_offset=cfg.offset,
                        timer_overhead=cfg.timer_overhead,
                        jitter_seed=jitter_seed)
     return PgasWorld(npes, cfg.networks[spec.network], clock,
-                     heap_size=MEASUREMENT_TYPES[spec.type].footprint(nbytes),
+                     heap_size=footprint(nbytes),
                      bcast_topology=spec.algo,
                      barrier_algo=spec.barrier,
                      barrier_root=spec.barrier_root)
@@ -267,7 +275,8 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
                 thunk, cfg.sigma_threshold, cfg.max_reps)
             truth = mtype.truth(
                 net, lambda: _build_world(cfg, spec, nbytes, _derived_seed(
-                    base_seed, spec.name, nbytes, -1)), spec, nbytes)
+                    base_seed, spec.name, nbytes, -1), reference=True),
+                spec, nbytes)
             rel = (abs(mean - truth) / max(truth, EPSILON)
                    if not math.isnan(truth) else math.nan)
             rows.append(ResultRow(spec.name, nbytes, spec.algo, mean, sigma,

@@ -5,19 +5,26 @@ cooperatively scheduled logical processes whose communication costs follow
 the NetworkModel.  Every event of interest is logged to a GroundTruthTrace,
 which measurement code treats as the oracle.
 
-Scheduling is a single heapq of `(time, seq, rank, value)` entries; ties
-break by insertion sequence number, so a given (config, seed, programs)
-triple always replays to an identical trace. An entry with `rank >= 0`
-resumes that PE's generator by sending it `value`; one with `rank == -1`
-calls `value()`, a NIC callback (a delivery, a served request). No closure
-is built per PE step.
+Scheduling orders `(time, seq, rank, value)` entries by time, then by
+insertion sequence number, so a given (config, seed, programs) triple
+always replays to an identical trace. Entries live in two queues: a heapq
+of timed ones (NIC deliveries, PE advances) and a FIFO of wakes, each
+queued at the current time and so already in order. `run` pops whichever
+head is smaller, which is the order one heap of both would give, without a
+heap push and pop per wake. An entry with `rank >= 0` resumes that PE's
+generator by sending it `value`; one with `rank == -1` calls `value()`, a
+NIC callback (a delivery, a served request). No closure is built per PE
+step.
 
 Only generators reach `_resume`: `run` wraps a program that returns a
 plain iterator or None once, so each step is one `send` and one type check
-of the yielded request. A PE whose `_Advance` ends strictly before the head
-of the queue continues at once, without a push and a pop; one that ends at
-the head's time or later is queued, so an event queued earlier at the same
-time still runs first.
+of the yielded request. A PE yields either a number, the seconds of
+compute it advances by, or a `_Wait`; anything else is an error. An
+advance that ends strictly before the timed queue's head, with no wake
+queued, continues at once, without a push and a pop; one that ends at the
+head's time or later is queued, so an event queued earlier at the same
+time still runs first. A `_Wait` carries its reason as a format string and
+arguments, formatted only for a deadlock report.
 
 Large heap bytes exist only where a run touches them. The symmetric heap
 is allocated and zeroed on first access, so a template world that
@@ -33,8 +40,12 @@ PE operations share a few message shapes, each written once: every
 payload is taken in `PgasWorld._take`, every heap byte is written in
 `PgasWorld._write`, every RMA payload completes in `PgasWorld._land`, every
 request/reply pair is `PgasWorld._round_trip`, a lock is handed over in
-`PgasWorld._grant`, and `Pe._collective` brackets each barrier and
-broadcast. A blocking call's result is the value its wait resumes with.
+`PgasWorld._grant`, and `Pe._enter` opens each barrier and broadcast.
+A barrier or broadcast call runs as one generator. Its control messages
+land in the receiver's mailbox, a count per key. A PE that finds too few
+takes its claim out of the count, so a negative count means its owner is
+blocked there, and the message that brings it to zero wakes the owner.
+A blocking call's result is the value its wait resumes with.
 
 The measurement functions share one skeleton: `run_fresh` runs a program
 on a fresh world, `timed_loop` times a loop of calls with either
@@ -45,20 +56,21 @@ timings, clamped at zero.
 from __future__ import annotations
 
 import heapq
+import numbers
 import operator
 import random
 import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from types import GeneratorType
 from typing import Callable, Generator, Iterable
 
 from .netmodel import (ClockModel, NetworkModel, ProgressMode,
                        PutReturnPolicy, ceil_log2)
 from . import trace as tr
-from .trace import GroundTruthTrace
+from .trace import EVENT_KINDS, GroundTruthTrace, TraceEvent
 
 
 class SimulationError(RuntimeError):
@@ -66,11 +78,14 @@ class SimulationError(RuntimeError):
 
 
 class DeadlockError(SimulationError):
-    """Event queue drained while PEs were still blocked."""
+    """Event queue drained while PEs were still blocked. `blocked` maps
+    each blocked PE to its wait reason (a string, or a wait that renders
+    as one)."""
 
-    def __init__(self, blocked: dict[int, str]):
-        self.blocked = blocked
-        detail = "; ".join(f"PE {pe}: {why}" for pe, why in sorted(blocked.items()))
+    def __init__(self, blocked: dict[int, object]):
+        self.blocked = {pe: str(why) for pe, why in blocked.items()}
+        detail = "; ".join(f"PE {pe}: {why}"
+                           for pe, why in sorted(self.blocked.items()))
         super().__init__(f"deadlock, blocked PEs: {detail}")
 
 
@@ -92,6 +107,7 @@ _CMP = {
     "le": operator.le, "lt": operator.lt,
 }
 
+_new_event = tuple.__new__  # a TraceEvent without its Python-level __new__
 _INT = struct.Struct("<q")
 INT_SIZE = _INT.size
 DEFAULT_HEAP_SIZE = 1 << 21  # bytes of symmetric heap per PE
@@ -117,11 +133,6 @@ BARRIER_DISSEMINATION = "dissemination"
 BARRIER_REDUCE_BCAST = "reduce_bcast"
 
 
-@dataclass(slots=True)
-class _Advance:
-    dt: float
-
-
 class _Signal:
     __slots__ = ("waiters",)
 
@@ -129,10 +140,19 @@ class _Signal:
         self.waiters: list[int] = []
 
 
-@dataclass(slots=True)
 class _Wait:
-    signal: _Signal
-    why: str
+    """A PE's request to block until `signal` fires. With no signal, the
+    PE has arranged its own wake-up, as a mailbox wait does. The reason
+    is `fmt` formatted with `args`, built only when a deadlock reports it."""
+    __slots__ = ("signal", "fmt", "args")
+
+    def __init__(self, signal: _Signal | None, fmt: str, *args):
+        self.signal = signal
+        self.fmt = fmt
+        self.args = args
+
+    def __str__(self) -> str:
+        return self.fmt.format(*self.args)
 
 
 class _OpState:
@@ -189,7 +209,9 @@ class _LockState:
         self.queue: deque[tuple[int, _Signal]] = deque()
 
 
-def _bcast_children(topology: str, rank: int, root: int, size: int) -> list[int]:
+@lru_cache(maxsize=1 << 12)
+def _bcast_children(topology: str, rank: int, root: int,
+                    size: int) -> tuple[int, ...]:
     """The PEs that `rank` sends to in a broadcast tree rooted at `root`.
 
     A linear tree's root sends to every other PE in rank order. In a
@@ -198,11 +220,14 @@ def _bcast_children(topology: str, rank: int, root: int, size: int) -> list[int]
     highest first.
     """
     if topology == BCAST_LINEAR:
-        return [dst for dst in range(size) if dst != root] if rank == root else []
+        if rank != root:
+            return ()
+        return tuple(dst for dst in range(size) if dst != root)
     rel = (rank - root) % size
     low = rel & -rel if rel else 1 << (size - 1).bit_length()
-    return [(rel + (low >> k) + root) % size
-            for k in range(1, low.bit_length()) if rel + (low >> k) < size]
+    return tuple((rel + (low >> k) + root) % size
+                 for k in range(1, low.bit_length())
+                 if rel + (low >> k) < size)
 
 
 class Pe:
@@ -217,13 +242,13 @@ class Pe:
     def advance(self, dt: float):
         """Burn `dt` seconds of simulated compute."""
         if dt > 0:
-            yield _Advance(dt)
+            yield dt
 
     def stamp_begin(self):
         """Sample the local clock, then charge the timer-read overhead."""
         w = self.world
         t = w.clock.local_time(self.rank, w.now)
-        yield _Advance(w.clock.timer_overhead)
+        yield w.clock.timer_overhead
         return t
 
     def stamp_end(self):
@@ -234,7 +259,7 @@ class Pe:
         timing loop pays for in practice.
         """
         w = self.world
-        yield _Advance(w.clock.timer_overhead)
+        yield w.clock.timer_overhead
         return w.clock.local_time(self.rank, w.now)
 
     def busy_wait(self, seconds: float):
@@ -243,7 +268,7 @@ class Pe:
             return 0.0
         units = -int(-seconds / BUSY_WAIT_UNIT // 1)  # ceil
         dt = units * BUSY_WAIT_UNIT
-        yield _Advance(dt)
+        yield dt
         return dt
 
     def advance_to_local_time(self, t_local: float):
@@ -252,7 +277,7 @@ class Pe:
         target = w.clock.global_time(self.rank, t_local)
         if target <= w.now:
             return True
-        yield _Advance(target - w.now)
+        yield target - w.now
         return False
 
     # -- local heap ----------------------------------------------------------
@@ -280,12 +305,12 @@ class Pe:
         src = offset if src_offset is None else src_offset
         op = w._post_rma(self.rank, self.rank, src, target, offset, nbytes)
         w._pending[self.rank][op.op_id] = op  # quiet fences blocking puts too
-        yield _Advance(net.o_s + net.G * nbytes)
+        yield net.o_s + net.G * nbytes
         w._send_put(op, self.rank, src, target, offset, nbytes, 0)
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         if net.put_return_policy is PutReturnPolicy.REMOTE_COMPLETION:
             if not op.delivered:
-                yield _Wait(op.done, f"put {op.op_id} remote completion")
+                yield _Wait(op.done, "put {} remote completion", op.op_id)
         return op.op_id
 
     def get(self, target: int, offset: int, nbytes: int, dst_offset: int | None = None):
@@ -302,7 +327,7 @@ class Pe:
         w._round_trip(rank, target, w.now + w.net.o_s, 0,
                       partial(w._take, target, offset, nbytes), nbytes,
                       complete)
-        yield _Wait(op.done, f"get {op.op_id} completion")
+        yield _Wait(op.done, "get {} completion", op.op_id)
         return op.op_id
 
     def put_nbi(self, target: int, offset: int, nbytes: int, src_offset: int | None = None):
@@ -326,7 +351,7 @@ class Pe:
         or, under on-quiet progress, leave `launch` to the next quiet."""
         w = self.world
         w._pending[self.rank][op.op_id] = op
-        yield _Advance(w.net.o_s)
+        yield w.net.o_s
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         if w.net.progress_mode is ProgressMode.BACKGROUND:
             launch()
@@ -347,8 +372,8 @@ class Pe:
                 launch()
         for op in pending:
             if not op.delivered:
-                yield _Wait(op.done, f"quiet on {op.op_id}")
-        yield _Advance(w.net.q0)
+                yield _Wait(op.done, "quiet on {}", op.op_id)
+        yield w.net.q0
         w._pending[self.rank].clear()
         w._trace(tr.QUIET_DONE, self.rank, qid)
         w.trace.quiet_spans[qid] = (start, w.now)
@@ -377,7 +402,7 @@ class Pe:
 
         w._round_trip(rank, target, w.now + w.net.o_s, INT_SIZE, apply,
                       INT_SIZE, respond)
-        return (yield _Wait(op.done, f"fetch_inc {op.op_id} response"))
+        return (yield _Wait(op.done, "fetch_inc {} response", op.op_id))
 
     def wait_until(self, offset: int, cmp: str, value: int):
         """Suspend until the local integer cell satisfies `cmp value`."""
@@ -387,7 +412,7 @@ class Pe:
             return
         sig = _Signal()
         w._cell_waiters[self.rank].append((offset, fn, value, sig))
-        yield _Wait(sig, f"wait_until heap[{offset}] {cmp} {value}")
+        yield _Wait(sig, "wait_until heap[{}] {} {}", offset, cmp, value)
 
     def fetch_remote_clock(self, target: int):
         """Round-trip read of the target's local clock at the serve instant."""
@@ -401,37 +426,35 @@ class Pe:
     # -- collectives -------------------------------------------------------------
 
     def barrier(self):
-        w = self.world
-        body = (self._barrier_dissemination
-                if w.barrier_algo == BARRIER_DISSEMINATION
-                else self._barrier_reduce_bcast)
-        return self._collective(
-            ("barrier", w.barrier_root), tr.BARRIER_ENTER, tr.BARRIER_EXIT,
-            w.trace.barrier_instances, {}, body)
-
-    def _barrier_dissemination(self, inst: int):
-        w, net, P = self.world, self.world.net, self.world.npes
-        for k in range(ceil_log2(P)):
-            dst = (self.rank + (1 << k)) % P
-            yield _Advance(net.o_s)
-            w._send_ctrl(self.rank, dst, ("bar", inst, k), 0)
-            yield from self._wait_ctrl(("bar", inst, k), 1,
-                                       f"barrier {inst} round {k}")
-
-    def _barrier_reduce_bcast(self, inst: int):
-        w, net, P = self.world, self.world.net, self.world.npes
-        root = w.barrier_root
-        if self.rank != root:
-            yield _Advance(net.o_s)
-            w._send_ctrl(self.rank, root, ("bar_red", inst), 0)
-            yield from self._wait_ctrl(("bar_rel", inst), 1,
-                                       f"barrier {inst} release")
-        else:
-            yield from self._wait_ctrl(("bar_red", inst), P - 1,
-                                       f"barrier {inst} reduce")
-        for dst in _bcast_children(BCAST_BINOMIAL, self.rank, root, P):
-            yield _Advance(net.o_s)
-            w._send_ctrl(self.rank, dst, ("bar_rel", inst), 0)
+        """Block until every PE has entered this barrier."""
+        w, rank, P = self.world, self.rank, self.world.npes
+        inst, oid, exits = self._enter("barrier", w.barrier_root,
+                                       tr.BARRIER_ENTER,
+                                       w.trace.barrier_instances)
+        if P > 1:
+            o_s = w.net.o_s
+            if w.barrier_algo == BARRIER_DISSEMINATION:
+                for k in range(ceil_log2(P)):
+                    key = ("bar", inst, k)
+                    yield o_s
+                    w._send_ctrl(rank, (rank + (1 << k)) % P, key)
+                    if not w._claim_mail(rank, key, 1):
+                        yield _Wait(None, "barrier {} round {}", inst, k)
+            else:
+                root = w.barrier_root
+                release = ("bar_rel", inst)
+                if rank != root:
+                    yield o_s
+                    w._send_ctrl(rank, root, ("bar_red", inst))
+                    if not w._claim_mail(rank, release, 1):
+                        yield _Wait(None, "barrier {} release", inst)
+                elif not w._claim_mail(rank, ("bar_red", inst), P - 1):
+                    yield _Wait(None, "barrier {} reduce", inst)
+                for dst in _bcast_children(BCAST_BINOMIAL, rank, root, P):
+                    yield o_s
+                    w._send_ctrl(rank, dst, release)
+        w._trace(tr.BARRIER_EXIT, rank, oid)
+        exits[rank] = w.now
 
     def broadcast(self, root: int, offset: int, nbytes: int):
         """Broadcast [offset, offset+nbytes) from `root`; a bad root or range
@@ -440,59 +463,50 @@ class Pe:
         if not 0 <= root < w.npes:
             raise ValueError(f"invalid broadcast root {root}")
         w._check_range(self.rank, offset, nbytes)
-        return self._collective(
-            ("bcast", root), tr.BCAST_ENTER, tr.BCAST_EXIT,
-            w.trace.bcast_instances, {"root": root},
-            partial(self._bcast_tree, root, offset, nbytes))
+        return self._broadcast(root, offset, nbytes)
 
-    def _collective(self, signature: tuple, enter: str, leave: str,
-                    table: dict, row: dict, body: Callable[[int], Generator]):
-        """Run `body(inst)` as this PE's collective call number `inst`,
-        between its enter and exit trace entries; `table` gets the instance's
-        row (`row` plus per-PE enter and exit times) on entry. Every PE's
-        call number `inst` must have the same `signature`. A one-PE world
-        skips `body`."""
-        w = self.world
-        inst = w._coll_count[self.rank]
-        w._coll_count[self.rank] += 1
-        first = w._coll_sig.setdefault(inst, signature)
-        if first != signature:
-            raise CollectiveMismatchError(
-                f"collective #{inst}: PE {self.rank} called {signature}, "
-                f"others called {first}")
-        oid = f"{signature[0]}{inst}"
-        w._trace(enter, self.rank, oid)
-        rec = table.setdefault(inst, {**row, "enter": {}, "exit": {}})
-        rec["enter"][self.rank] = w.now
-        if w.npes > 1:
-            yield from body(inst)
-        w._trace(leave, self.rank, oid)
-        rec["exit"][self.rank] = w.now
-
-    def _bcast_tree(self, root: int, offset: int, nbytes: int, inst: int):
+    def _broadcast(self, root: int, offset: int, nbytes: int):
         """Wait for the data from the parent, then send it to each child."""
-        w, net, P = self.world, self.world.net, self.world.npes
-        key = ("bc", inst)
-        if self.rank != root:
-            yield from self._wait_ctrl(key, 1, f"bcast {inst} data")
-        last_dep = w.now
-        for dst in _bcast_children(w.bcast_topology, self.rank, root, P):
-            yield _Advance(net.o_s + net.G * nbytes)
-            last_dep = self._send_payload(dst, key, offset, nbytes)
-        if last_dep > w.now:
-            yield _Advance(last_dep - w.now)
+        w, rank, P = self.world, self.rank, self.world.npes
+        inst, oid, exits = self._enter("bcast", root, tr.BCAST_ENTER,
+                                       w.trace.bcast_instances)
+        if P > 1:
+            key = ("bc", inst)
+            if rank != root and not w._claim_mail(rank, key, 1):
+                yield _Wait(None, "bcast {} data", inst)
+            last_dep, cost = w.now, w.net.o_s + w.net.G * nbytes
+            for dst in _bcast_children(w.bcast_topology, rank, root, P):
+                yield cost
+                last_dep = w._send_payload(rank, dst, key, offset, nbytes)
+            if last_dep > w.now:
+                yield last_dep - w.now
+        w._trace(tr.BCAST_EXIT, rank, oid)
+        exits[rank] = w.now
 
-    def _send_payload(self, dst: int, key, offset: int, nbytes: int) -> float:
-        """Inject one broadcast data message; returns its departure."""
-        w = self.world
-        data = w._take(self.rank, offset, nbytes)
-
-        def deliver():
-            w._write(dst, offset, data)
-            w._heap_written(dst, offset, nbytes)
-            w._mail_deliver(dst, key)
-
-        return w._inject(self.rank, w.now, 0, deliver)
+    def _enter(self, kind: str, root: int, enter: str, table: dict):
+        """Begin this PE's next collective call, a `kind` rooted at `root`,
+        and trace its `enter`; returns the call number `inst`, its op id
+        and the instance's per-PE exit times. The first PE to make call
+        `inst` builds its op id and its row in `table` (a broadcast's row
+        also holds its root); every PE's call `inst` must match it."""
+        w, rank = self.world, self.rank
+        inst = w._coll_count[rank]
+        w._coll_count[rank] = inst + 1
+        known = w._colls.get(inst)
+        if known is None:
+            row = {"root": root} if kind == "bcast" else {}
+            enters, exits = row["enter"], row["exit"] = {}, {}
+            table[inst] = row
+            known = w._colls[inst] = (kind, root, f"{kind}{inst}", enters,
+                                      exits)
+        elif known[0] != kind or known[1] != root:
+            raise CollectiveMismatchError(
+                f"collective #{inst}: PE {rank} called {(kind, root)}, "
+                f"others called {known[:2]}")
+        oid = known[2]
+        w._trace(enter, rank, oid)
+        known[3][rank] = w.now
+        return inst, oid, known[4]
 
     # -- global locks ---------------------------------------------------------
 
@@ -510,7 +524,7 @@ class Pe:
                 lk.queue.append((rank, done))
 
         w._inject(rank, w.now + w.net.o_s, 0, req_arrive)
-        yield _Wait(done, f"lock_set {oid}")
+        yield _Wait(done, "lock_set {}", oid)
 
     def lock_test(self, offset: int, home: int = 0):
         w = self.world
@@ -528,7 +542,7 @@ class Pe:
 
         w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
                       partial(w._fire, done))
-        return (yield _Wait(done, f"lock_test {oid}"))
+        return (yield _Wait(done, "lock_test {}", oid))
 
     def lock_clear(self, offset: int, home: int = 0):
         w = self.world
@@ -549,19 +563,7 @@ class Pe:
 
         w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
                       partial(w._fire, done))
-        yield _Wait(done, f"lock_clear {oid}")
-
-    # -- control-message plumbing -----------------------------------------------
-
-    def _wait_ctrl(self, key, need: int, why: str):
-        w = self.world
-        mail = w._mail[self.rank]
-        if mail.get(key, 0) >= need:
-            mail[key] -= need
-            return
-        sig = _Signal()
-        w._mail_waiters[self.rank].setdefault(key, []).append((need, sig))
-        yield _Wait(sig, why)
+        yield _Wait(done, "lock_clear {}", oid)
 
 
 class PgasWorld:
@@ -602,24 +604,27 @@ class PgasWorld:
         self.heap: dict[int, bytearray] = _Heaps(heap_size, npes)
         self._loans: set[_Loan] = set()  # lent payloads not yet landed
         self.trace = GroundTruthTrace()
+        self._record = self.trace.entries.append
         self.now = 0.0
-        self._queue: list = []
+        self._queue: list = []  # timed entries, a heapq
+        self._ready: deque = deque()  # wakes, queued at the time they fire
         self._seq = 0
         self._nic_free = [0.0] * npes
         self._random = random.Random(clock.jitter_seed).random
         self._pending: list[dict[str, _OpState]] = [dict() for _ in range(npes)]
+        # per PE: mail key -> messages there, or minus those its owner,
+        # blocked there, still waits for; a count of 0 is no key
         self._mail: list[dict] = [dict() for _ in range(npes)]
-        # per PE: mail key -> [(need, signal)], in the order they blocked
-        self._mail_waiters: list[dict] = [dict() for _ in range(npes)]
         self._cell_waiters: list[list] = [list() for _ in range(npes)]
         self._locks: dict[tuple[int, int], _LockState] = {}
         self._coll_count = [0] * npes
-        self._coll_sig: dict[int, tuple] = {}
+        # collective call number -> (kind, root, op id, enters, exits)
+        self._colls: dict[int, tuple] = {}
         self._next_op = 0
         self._next_quiet = 0
         self._sends: list = []  # each PE generator's `send`
-        self._done: list[bool] = []
-        self._blocked_why: list[str | None] = []
+        # each PE's last wait; None before its first and once it is done
+        self._waits: list[_Wait | None] = []
         self.returned: list = [None] * npes  # each PE program's return value
         self._ran = False
 
@@ -654,58 +659,73 @@ class PgasWorld:
             if type(gen) is not GeneratorType:
                 gen = _as_generator(gen)
             self._sends.append(gen.send)
-            self._done.append(False)
-            self._blocked_why.append(None)
+            self._waits.append(None)
             self._seq += 1
-            heapq.heappush(self._queue, (0.0, self._seq, rank, None))
-        queue, pop, resume = self._queue, heapq.heappop, self._resume
-        while queue:
-            t, _, rank, value = pop(queue)
+            self._ready.append((0.0, self._seq, rank, None))
+        queue, ready, resume = self._queue, self._ready, self._resume
+        pop, popleft = heapq.heappop, ready.popleft
+        while True:
+            # seq numbers are unique, so tuples compare as (time, seq)
+            if ready:
+                entry = (pop(queue) if queue and queue[0] < ready[0]
+                         else popleft())
+            elif queue:
+                entry = pop(queue)
+            else:
+                break
+            t, _, rank, value = entry
             self.now = t
             if rank < 0:
                 value()
             else:
                 resume(rank, value)
-        # the queue is empty, so no PE is computing: each one not done is
-        # blocked in the wait it yielded last
-        blocked = {pe: self._blocked_why[pe]
-                   for pe in range(self.npes) if not self._done[pe]}
+        # both queues are empty, so no PE is computing: each one not done
+        # is blocked in the wait it yielded last
+        blocked = {pe: wait for pe, wait in enumerate(self._waits)
+                   if wait is not None}
         if blocked:
             raise DeadlockError(blocked)
         return self.trace
 
     def _resume(self, rank: int, value):
-        send, queue = self._sends[rank], self._queue
+        send, queue, ready = self._sends[rank], self._queue, self._ready
         while True:
             try:
                 req = send(value)
             except StopIteration as stop:
-                self._done[rank] = True
+                self._waits[rank] = None
                 self.returned[rank] = stop.value
                 return
             value = None
             kind = type(req)
-            if kind is _Advance:
-                if req.dt <= 0:
-                    continue
-                t = self.now + req.dt
-                if not queue or t < queue[0][0]:
-                    self.now = t  # nothing else happens before t
-                    continue
-                self._seq += 1
-                heapq.heappush(queue, (t, self._seq, rank, None))
-                return
             if kind is _Wait:
-                req.signal.waiters.append(rank)
-                self._blocked_why[rank] = req.why
+                if req.signal is not None:
+                    req.signal.waiters.append(rank)
+                self._waits[rank] = req
                 return
-            raise SimulationError(f"PE {rank} yielded unexpected value {req!r}")
+            if kind is not float and (kind is bool or not isinstance(
+                    req, numbers.Real)):
+                raise SimulationError(
+                    f"PE {rank} yielded unexpected value {req!r}")
+            if req <= 0:
+                continue
+            t = self.now + req
+            if not ready and (not queue or t < queue[0][0]):
+                self.now = t  # nothing else happens before t
+                continue
+            self._seq += 1
+            heapq.heappush(queue, (t, self._seq, rank, None))
+            return
+
+    def _wake(self, rank: int, value=None):
+        """Queue `rank` to resume now, with `value`."""
+        self._seq += 1
+        self._ready.append((self.now, self._seq, rank, value))
 
     def _fire(self, sig: _Signal, value=None):
         waiters, sig.waiters = sig.waiters, []
         for rank in waiters:
-            self._seq += 1
-            heapq.heappush(self._queue, (self.now, self._seq, rank, value))
+            self._wake(rank, value)
 
     # -- NIC ------------------------------------------------------------------
 
@@ -727,9 +747,22 @@ class PgasWorld:
                                      self._seq, -1, deliver))
         return dep
 
-    def _send_ctrl(self, src: int, dst: int, key, ser_bytes: int) -> float:
-        return self._inject(src, self.now, ser_bytes,
-                            partial(self._mail_deliver, dst, key))
+    def _send_ctrl(self, src: int, dst: int, key):
+        """Send an empty control message for `dst`'s mailbox `key`."""
+        self._inject(src, self.now, 0, partial(self._mail_deliver, dst, key))
+
+    def _send_payload(self, src: int, dst: int, key, offset: int,
+                      nbytes: int) -> float:
+        """Send `src`'s bytes [offset, offset+nbytes) to the same range of
+        `dst`'s heap, then `dst`'s mailbox `key`; returns the departure."""
+        data = self._take(src, offset, nbytes)
+        return self._inject(src, self.now, 0, partial(
+            self._deliver_payload, dst, key, offset, data))
+
+    def _deliver_payload(self, dst: int, key, offset: int, data):
+        self._write(dst, offset, data)
+        self._heap_written(dst, offset, len(data))
+        self._mail_deliver(dst, key)
 
     def _round_trip(self, src: int, target: int, t_ready: float,
                     req_bytes: int, serve: Callable[[], object],
@@ -778,19 +811,26 @@ class PgasWorld:
         self._fire(op.done)
 
     def _mail_deliver(self, dst: int, key):
+        """Count one message in `dst`'s mailbox `key`; wake `dst` if it is
+        the last one `dst` waits for there."""
         mail = self._mail[dst]
-        count = mail[key] = mail.get(key, 0) + 1
-        waiters = self._mail_waiters[dst].get(key)
-        if not waiters:
-            return
-        for i, (need, sig) in enumerate(waiters):
-            if count >= need:
-                mail[key] = count - need
-                del waiters[i]
-                if not waiters:
-                    del self._mail_waiters[dst][key]
-                self._fire(sig)
-                return
+        count = mail.get(key, 0) + 1
+        if count:
+            mail[key] = count
+        else:
+            del mail[key]
+            self._wake(dst)
+
+    def _claim_mail(self, pe: int, key, need: int) -> bool:
+        """Take `need` messages from `pe`'s mailbox `key`: True if they are
+        there; if not, `pe` is to block until they come."""
+        mail = self._mail[pe]
+        count = mail.get(key, 0) - need
+        if count:
+            mail[key] = count
+        else:
+            del mail[key]
+        return count >= 0
 
     # -- heap -------------------------------------------------------------------
 
@@ -872,7 +912,8 @@ class PgasWorld:
                      partial(self._fire, granted))
 
     def _trace(self, kind: str, pe: int, op_id: str):
-        self.trace.record(self.now, pe, kind, op_id)
+        assert kind in EVENT_KINDS, kind
+        self._record(_new_event(TraceEvent, (self.now, pe, kind, op_id)))
 
 
 def idle(pe: Pe):

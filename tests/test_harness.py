@@ -13,7 +13,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 emit_results, ground_truth_report,
                                 parse_config, parse_duration, run_config,
                                 run_until_stable)
-from shmembench import PgasWorld, p2pbench
+from shmembench import PgasWorld, collbench, p2pbench
 from shmembench.harness import runner
 from shmembench.harness.runner import TYPE_KEYS
 from shmembench.harness.cli import main as cli_main
@@ -450,6 +450,26 @@ type = {kind}
                 for w in worlds} == {(True, frozenset({0, 1})),
                                      (False, frozenset(range(8)))}
 
+    def test_bcast_sk_reference_runs_on_a_heap_of_nbytes(self, monkeypatch):
+        """The measured worlds hold the acknowledgment cell; the reference,
+        a plain broadcast, needs only the payload's bytes."""
+        cfg = parse_config(BASE_CONFIG.split("[measurement")[0] + """
+[measurement.sk]
+type = bcast_sk
+nbytes = 64
+M = 2
+""")
+        worlds, run = [], PgasWorld.run
+
+        def capture(self, programs):
+            worlds.append(self)
+            return run(self, programs)
+
+        monkeypatch.setattr(PgasWorld, "run", capture)
+        run_config(cfg)
+        assert [w.heap_size for w in worlds] == [
+            collbench.sk_heap_footprint(64), 64]
+
     def test_small_get_world_is_far_below_default_heap(self):
         cfg = parse_config(BASE_CONFIG)
         (spec,) = cfg.measurements
@@ -564,9 +584,9 @@ class TestReplay:
         seeds = []
         build = runner._build_world
 
-        def recording(cfg, spec, nbytes, jitter_seed):
+        def recording(cfg, spec, nbytes, jitter_seed, **sizing):
             seeds.append(jitter_seed)
-            return build(cfg, spec, nbytes, jitter_seed)
+            return build(cfg, spec, nbytes, jitter_seed, **sizing)
 
         monkeypatch.setattr(runner, "_build_world", recording)
         (row,) = run_config(cfg)

@@ -14,14 +14,17 @@ the two runs must show the same trace, results, time and heaps.
 """
 
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from shmembench import (ClockModel, DeadlockError, NetworkModel, PgasWorld,
-                        ProgressMode, PutReturnPolicy)
-from shmembench.pgas import BARRIER_REDUCE_BCAST, BCAST_LINEAR
+                        ProgressMode, PutReturnPolicy, measure_bcast_sk)
+from shmembench.pgas import (BARRIER_REDUCE_BCAST, BCAST_LINEAR,
+                             SimulationError, idle)
 from shmembench.trace import POST, REMOTE_DELIVERED, GroundTruthTrace
 
 from helpers import lent_and_copied
@@ -363,6 +366,63 @@ class TestTies:
                   if e.kind in (POST, REMOTE_DELIVERED)]
         assert events == [(0.0, POST, "op0"), (0.5, REMOTE_DELIVERED, "op0"),
                           (0.5, POST, "op1"), (1.0, REMOTE_DELIVERED, "op1")]
+
+
+@pytest.mark.parametrize("name", [name for name in SCENARIOS
+                                  if not name.startswith("deadlock")])
+def test_completed_run_leaves_every_mailbox_empty(name):
+    """A consumed control message leaves no key behind."""
+    w, programs = SCENARIOS[name]()
+    w.run(programs)
+    assert w._mail == [{} for _ in range(w.npes)]
+
+
+def test_acknowledged_broadcasts_leave_every_mailbox_empty():
+    world = PgasWorld(8, JITTER, ClockModel.ideal(8, jitter_seed=3))
+    assert measure_bcast_sk(world, 64, M=2).world._mail == [{}] * 8
+
+
+class TestRequests:
+    """A PE yields a number, the seconds it computes for, or a wait."""
+
+    @pytest.mark.parametrize("bad", [None, True, False, "1e-6", b"", [1e-6]])
+    def test_anything_else_raises_naming_the_pe(self, bad):
+        def prog(pe):
+            yield 1e-6
+            yield bad
+
+        with pytest.raises(SimulationError, match=(
+                r"^PE 1 yielded unexpected value " + re.escape(repr(bad)))):
+            PgasWorld(2, NetworkModel()).run([idle, prog])
+
+    @pytest.mark.parametrize("dt", [0, 0.0, -0.0, -1e-6, -3])
+    def test_advance_of_zero_or_less_moves_neither_now_nor_the_queue(self,
+                                                                     dt):
+        def state(w):
+            return w.now, w._seq, list(w._queue), list(w._ready)
+
+        def prog(pe):
+            yield from pe.advance(5e-7)
+            before = state(pe.world)
+            yield dt
+            return before == state(pe.world)
+
+        def other(pe):
+            yield from pe.advance(5e-7)     # queued, due as PE 0 yields dt
+
+        w = PgasWorld(2, NetworkModel())
+        w.run([prog, other])
+        assert w.returned[0] is True
+
+    @pytest.mark.parametrize("dt", [1, 0.5, Fraction(1, 4)])
+    def test_any_real_number_advances(self, dt):
+        def prog(pe):
+            yield dt
+            return pe.world.now
+
+        w = PgasWorld(1, NetworkModel())
+        w.run([prog])
+        assert w.returned == [float(dt)]
 
 
 @pytest.mark.parametrize("hw", [2e-7, 3e-6])   # 3 us clamps some at 0
