@@ -371,15 +371,19 @@ class TestTies:
 @pytest.mark.parametrize("name", [name for name in SCENARIOS
                                   if not name.startswith("deadlock")])
 def test_completed_run_leaves_every_mailbox_empty(name):
-    """A consumed control message leaves no key behind."""
+    """A consumed control message, and a wait it ended, leave no key
+    behind."""
     w, programs = SCENARIOS[name]()
     w.run(programs)
     assert w._mail == [{} for _ in range(w.npes)]
+    assert w._mail_waiters == [{} for _ in range(w.npes)]
 
 
 def test_acknowledged_broadcasts_leave_every_mailbox_empty():
     world = PgasWorld(8, JITTER, ClockModel.ideal(8, jitter_seed=3))
-    assert measure_bcast_sk(world, 64, M=2).world._mail == [{}] * 8
+    w = measure_bcast_sk(world, 64, M=2).world
+    assert w._mail == [{}] * 8
+    assert w._mail_waiters == [{}] * 8
 
 
 class TestRequests:
