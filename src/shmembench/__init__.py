@@ -15,8 +15,7 @@ from .trace import GroundTruthTrace, TraceEvent
 from .syncschemes import (SyncState, estimate_offsets, measure_barrier_time,
                           offset_probe_fragment, start_synchronization,
                           stop_synchronization)
-from .p2pbench import (calibrate_busy_wait, measure_blocking,
-                       measure_nonblocking, measure_quiet)
+from .p2pbench import measure_blocking, measure_nonblocking, measure_quiet
 from .collbench import (ground_truth_bcast_span, measure_bcast_barrier,
                         measure_bcast_naive, measure_bcast_rounds,
                         measure_bcast_sk, measure_bcast_sync)
@@ -32,7 +31,7 @@ __all__ = [
     "SyncState", "estimate_offsets", "measure_barrier_time",
     "offset_probe_fragment", "start_synchronization", "stop_synchronization",
     "TimingStrategy", "measure_blocking", "measure_nonblocking",
-    "measure_quiet", "calibrate_busy_wait", "ground_truth_bcast_span",
+    "measure_quiet", "ground_truth_bcast_span",
     "measure_bcast_naive", "measure_bcast_barrier", "measure_bcast_sync",
     "measure_bcast_rounds", "measure_bcast_sk",
     "LockScenario", "measure_lock",

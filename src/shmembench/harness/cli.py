@@ -7,6 +7,7 @@ usage error, 3 simulation deadlock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from ..pgas import DeadlockError
@@ -39,27 +40,26 @@ def main(argv: list[str] | None = None) -> int:
     if not args.config:
         print("error: --config is required", file=sys.stderr)
         return 2
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        if args.seed is not None:
-            check_seed(args.seed, "--seed")
-    except (OSError, UnicodeDecodeError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    out_format = args.format or cfg.out_format
-    try:
-        rows = run_config(cfg, seed=args.seed)
-    except DeadlockError as e:
-        print(f"error: simulation deadlock: {e}", file=sys.stderr)
-        return 3
-
-    text = emit_results(rows, out_format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with contextlib.ExitStack() as stack:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+            if args.seed is not None:
+                check_seed(args.seed, "--seed")
+            # an unwritable output path is a usage error, found before
+            # anything runs
+            out = (stack.enter_context(open(args.output, "w",
+                                            encoding="utf-8"))
+                   if args.output else sys.stdout)
+        except (OSError, UnicodeDecodeError, ConfigError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        try:
+            rows = run_config(cfg, seed=args.seed)
+        except DeadlockError as e:
+            print(f"error: simulation deadlock: {e}", file=sys.stderr)
+            return 3
+        out.write(emit_results(rows, args.format or cfg.out_format))
 
     if args.report:
         report, failures = ground_truth_report(rows, cfg.tolerance)

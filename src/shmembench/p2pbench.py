@@ -10,8 +10,8 @@ difference `pgas.Measurement.clamped` reports. Every transfer is issued by
 
 from __future__ import annotations
 
-from .pgas import (BUSY_WAIT_UNIT, Measurement, PgasWorld, TimingStrategy,
-                   check_iters, run_fresh, timed_loop)
+from .pgas import (Measurement, PgasWorld, TimingStrategy, check_iters,
+                   run_fresh, timed_loop)
 
 DEFAULT_INNER_REPS = 64
 SRC_OFFSET = 0
@@ -141,13 +141,3 @@ def measure_nonblocking(world: PgasWorld, kind: str, variant: str,
                                            "loop": loop_mean,
                                            "busy_wait": wait_mean})
 
-
-def calibrate_busy_wait(world: PgasWorld, units: int = 1_000_000) -> float:
-    """Measured busy-wait throughput in work units per second."""
-
-    def frag(pe):
-        elapsed = yield from timed_loop(
-            pe, lambda i: pe.busy_wait(units * BUSY_WAIT_UNIT), 1)
-        return units / elapsed
-
-    return _run_on_pe0(world, frag)

@@ -41,15 +41,13 @@ payload is taken in `PgasWorld._take`, every heap byte is written in
 `PgasWorld._write`, every RMA payload completes in `PgasWorld._land`, every
 request/reply pair is `PgasWorld._round_trip`, a lock is handed over in
 `PgasWorld._grant`, and `Pe._enter` opens each barrier and broadcast.
-A barrier or broadcast call runs as one generator. Its control messages
-land in the receiver's mailbox, a count per key. A PE that finds too few
-takes its claim out of the count, so a negative count means its owner is
-blocked there, and the message that brings it to zero wakes the owner.
-The dissemination barrier is the exception: it keeps its older form, a
-sub-generator per round whose blocked wait registers a signal, until the
-bench's coverage gate stops penalizing shorter units (see
-`Pe._barrier_dissemination`). A blocking call's result is the value its
-wait resumes with.
+A barrier or broadcast call runs as one generator. Every control message
+of every collective lands in the receiver's mailbox, a count per key
+(`_send_ctrl` or `_send_payload`, then `_mail_deliver`). A PE that finds
+too few takes its claim out of the count (`_claim_mail`), so a negative
+count means its owner is blocked there, and the message that brings it to
+zero wakes the owner; no collective waits on a signal. A blocking call's
+result is the value its wait resumes with.
 
 The measurement functions share one skeleton: `run_fresh` runs a program
 on a fresh world, `timed_loop` times a loop of calls with either
@@ -437,7 +435,12 @@ class Pe:
         if P > 1:
             o_s = w.net.o_s
             if w.barrier_algo == BARRIER_DISSEMINATION:
-                yield from self._barrier_dissemination(inst)
+                for k in range(ceil_log2(P)):
+                    key = ("bar", inst, k)
+                    yield o_s
+                    w._send_ctrl(rank, (rank + (1 << k)) % P, key)
+                    if not w._claim_mail(rank, key, 1):
+                        yield _Wait(None, "barrier {} round {}", inst, k)
             else:
                 root = w.barrier_root
                 release = ("bar_rel", inst)
@@ -453,43 +456,6 @@ class Pe:
                     w._send_ctrl(rank, dst, release)
         w._trace(tr.BARRIER_EXIT, rank, oid)
         exits[rank] = w.now
-
-    def _barrier_dissemination(self, inst: int):
-        """Round k sends to rank + 2**k and waits for the message of rank
-        - 2**k.
-
-        This barrier keeps the form every collective had before barriers
-        and broadcasts became one generator each: a body generator under
-        `barrier`, a `_wait_ctrl` sub-generator per round, a reason string
-        per round and a signal per blocked wait. Each lock section of
-        `cli_mixed` is little more than one 8-PE dissemination barrier, and
-        the bench's per-unit coverage gate fails more often on shorter
-        units (ROADMAP item 6), so this path keeps its old cost until that
-        gate no longer depends on unit size."""
-        w, net, P = self.world, self.world.net, self.world.npes
-        for k in range(ceil_log2(P)):
-            dst = (self.rank + (1 << k)) % P
-            yield net.o_s
-            w._inject(self.rank, w.now, 0,
-                      partial(w._deliver_waited, dst, ("bar", inst, k)))
-            yield from self._wait_ctrl(("bar", inst, k), 1,
-                                       f"barrier {inst} round {k}")
-
-    def _wait_ctrl(self, key, need: int, why: str):
-        """Take `need` messages from this PE's mailbox `key`, first
-        blocking on a signal until `_deliver_waited` has brought them."""
-        w = self.world
-        mail = w._mail[self.rank]
-        count = mail.get(key, 0)
-        if count >= need:
-            if count > need:
-                mail[key] = count - need
-            else:
-                del mail[key]
-            return
-        sig = _Signal()
-        w._mail_waiters[self.rank].setdefault(key, []).append((need, sig))
-        yield _Wait(sig, why)
 
     def broadcast(self, root: int, offset: int, nbytes: int):
         """Broadcast [offset, offset+nbytes) from `root`; a bad root or range
@@ -647,11 +613,9 @@ class PgasWorld:
         self._random = random.Random(clock.jitter_seed).random
         self._pending: list[dict[str, _OpState]] = [dict() for _ in range(npes)]
         # per PE: mail key -> messages there, or minus those its owner,
-        # blocked there, still waits for; a count of 0 is no key. A
-        # dissemination barrier's keys never go negative: its blocked PEs
-        # wait in `_mail_waiters`, key -> [(need, signal)] in block order.
+        # blocked there, still waits for; a count of 0 is no key. This one
+        # mailbox holds every barrier's and broadcast's messages.
         self._mail: list[dict] = [dict() for _ in range(npes)]
-        self._mail_waiters: list[dict] = [dict() for _ in range(npes)]
         self._cell_waiters: list[list] = [list() for _ in range(npes)]
         self._locks: dict[tuple[int, int], _LockState] = {}
         self._coll_count = [0] * npes
@@ -787,26 +751,6 @@ class PgasWorld:
     def _send_ctrl(self, src: int, dst: int, key):
         """Send an empty control message for `dst`'s mailbox `key`."""
         self._inject(src, self.now, 0, partial(self._mail_deliver, dst, key))
-
-    def _deliver_waited(self, dst: int, key):
-        """Count one message in `dst`'s mailbox `key` and fire the first
-        `Pe._wait_ctrl` there that it completes."""
-        mail = self._mail[dst]
-        count = mail[key] = mail.get(key, 0) + 1
-        waiters = self._mail_waiters[dst].get(key)
-        if not waiters:
-            return
-        for i, (need, sig) in enumerate(waiters):
-            if count >= need:
-                if count > need:
-                    mail[key] = count - need
-                else:
-                    del mail[key]
-                del waiters[i]
-                if not waiters:
-                    del self._mail_waiters[dst][key]
-                self._fire(sig)
-                return
 
     def _send_payload(self, src: int, dst: int, key, offset: int,
                       nbytes: int) -> float:

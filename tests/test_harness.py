@@ -16,6 +16,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
 from shmembench import PgasWorld, collbench, p2pbench
 from shmembench.harness import runner
 from shmembench.harness.runner import TYPE_KEYS
+from shmembench.harness import cli as cli_module
 from shmembench.harness.cli import main as cli_main
 from shmembench.harness.config import (SECTION_KEYS, BenchConfig,
                                        MeasurementSpec)
@@ -782,6 +783,20 @@ class TestCli:
     def test_missing_config_exit_code(self, capsys):
         assert cli_main([]) == 2
         assert cli_main(["--config", "/nonexistent/x.conf"]) == 2
+
+    @pytest.mark.parametrize("output", ["missing_dir/x.csv", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_output_is_one_line_exit_2_before_running(
+            self, config_path, tmp_path, capsys, monkeypatch, output):
+        def never(*args, **kwargs):
+            raise AssertionError("run_config called")
+
+        monkeypatch.setattr(cli_module, "run_config", never)
+        assert cli_main(["--config", str(config_path),
+                         "--output", str(tmp_path / output)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_list_measurements(self, capsys):
         assert cli_main(["--list"]) == 0

@@ -3,9 +3,8 @@
 import pytest
 
 from shmembench import (ClockModel, NetworkModel, PgasWorld, ProgressMode,
-                        TimingStrategy, calibrate_busy_wait, measure_blocking,
+                        TimingStrategy, measure_blocking,
                         measure_nonblocking, measure_quiet)
-from shmembench.pgas import BUSY_WAIT_UNIT
 
 O_S, O_R, L_WIRE, G = 1e-7, 1e-7, 1e-6, 1e-9
 LEG = O_S + L_WIRE + O_R
@@ -135,7 +134,3 @@ class TestQuietAndCalibration:
     def test_quiet_measurement(self):
         r = measure_quiet(_world(), iters=16)
         assert r.result == pytest.approx(LEG + G + Q0, rel=1e-12)
-
-    def test_busy_wait_rate(self):
-        rate = calibrate_busy_wait(_world(), units=10000)
-        assert rate == pytest.approx(1.0 / BUSY_WAIT_UNIT, rel=1e-9)

@@ -2,8 +2,11 @@
 
 Every world a measurement runs is captured, and its ground-truth trace must
 keep simulated time monotone, deliver each posted op exactly once, and
-nest each PE's broadcast and barrier instances in call order. Each example
-either lends every non-empty payload or copies every one.
+nest each PE's broadcast and barrier instances in call order; every
+collective message must be claimed, so each run ends with every mailbox
+empty. Each example either lends every non-empty payload or copies every
+one, and runs either barrier algorithm at any P from 2 to 9, so
+dissemination rounds at a P that is not a power of two are drawn too.
 """
 
 from collections import Counter
@@ -11,7 +14,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shmembench import (ClockModel, LockScenario, NetworkModel, PgasWorld,
+from shmembench import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
+                        ClockModel, LockScenario, NetworkModel, PgasWorld,
                         ProgressMode, PutReturnPolicy, measure_bcast_barrier,
                         measure_bcast_naive, measure_bcast_rounds,
                         measure_bcast_sk, measure_bcast_sync,
@@ -61,7 +65,9 @@ def _captured_runs(monkeypatch_ctx):
 
 MEASURED_WORLDS = dict(
     kind=st.sampled_from(sorted(MEASUREMENTS)),
-    npes=st.integers(2, 6),
+    npes=st.integers(2, 9),
+    barrier_algo=st.sampled_from([BARRIER_DISSEMINATION,
+                                  BARRIER_REDUCE_BCAST]),
     nbytes=st.integers(0, 4096),
     seed=st.integers(0, 2**32 - 1),
     jitter=st.sampled_from([0.0, 3e-7]),
@@ -70,14 +76,15 @@ MEASURED_WORLDS = dict(
     lend_min=st.sampled_from([1, LEND_NONE]))
 
 
-def _measured_worlds(kind, npes, nbytes, seed, jitter, progress, put_return,
-                     lend_min):
+def _measured_worlds(kind, npes, barrier_algo, nbytes, seed, jitter,
+                     progress, put_return, lend_min):
     """Every world one measurement of `kind` runs, with `LEND_MIN` set to
     `lend_min`."""
     net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, g=1e-7, G=1e-9,
                        jitter_half_width=jitter, progress_mode=progress,
                        put_return_policy=put_return)
-    world = PgasWorld(npes, net, ClockModel.ideal(npes, jitter_seed=seed))
+    world = PgasWorld(npes, net, ClockModel.ideal(npes, jitter_seed=seed),
+                      barrier_algo=barrier_algo)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pgas, "LEND_MIN", lend_min)
         worlds = _captured_runs(mp)
@@ -125,3 +132,10 @@ def test_collective_instances_nest(**params):
                 assert kind == seq[k - k % 2][1]
             times = [t for *_, t in seq]
             assert times == sorted(times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MEASURED_WORLDS)
+def test_every_run_leaves_every_mailbox_empty(**params):
+    for w in _measured_worlds(**params):
+        assert w._mail == [{} for _ in range(w.npes)]
