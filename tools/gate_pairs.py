@@ -57,7 +57,7 @@ def _unit_names(checkout: Path, workload: str):
     return lambda i: f"P={ACKED_PES[i % len(ACKED_PES)]}"
 
 
-def lowest_unit(spans_path: Path, name_of):
+def _lowest_unit(spans_path: Path, name_of):
     """(name, length s, gap s) of the least covered unit."""
     spans = [json.loads(line) for line in spans_path.open()]
     covered = [0.0] * len(spans)
@@ -76,6 +76,24 @@ def lowest_unit(spans_path: Path, name_of):
         if worst is None or cov < worst[0]:
             worst = (cov, name_of(index), length, length - covered[i])
     return worst[1:]
+
+
+def _report(side: str, seed: int, proc: subprocess.Popen, checkout: Path,
+            workload: str) -> bool:
+    """Wait for one run, print its line and return its `correct`."""
+    out, err = proc.communicate()
+    try:
+        result = json.loads(out.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        print(f"{side:<6} {seed:>5}  no result (exit {proc.returncode}): "
+              f"{err.strip()[-200:]}", flush=True)
+        return False
+    spans = checkout / "bench" / "out" / f"spans-{workload}-seed{seed}.jsonl"
+    name, length, gap = _lowest_unit(spans, _unit_names(checkout, workload))
+    cov = result["metrics"]["bench.span_coverage"]["value"]
+    print(f"{side:<6} {seed:>5}  {str(result['correct']):<7}  {cov:7.3f}  "
+          f"{name:<20} {length * 1e3:8.3f} {gap * 1e6:7.1f}", flush=True)
+    return result["correct"]
 
 
 def main(argv=None) -> int:
@@ -100,26 +118,15 @@ def main(argv=None) -> int:
         procs = {side: _start(checkouts[side], args.workload, seed,
                               args.seconds, pins.get(side))
                  for side in SIDES}
-        for side, proc in procs.items():
-            out, err = proc.communicate()
-            lines = out.strip().splitlines()
-            try:
-                result = json.loads(lines[-1])
-            except (IndexError, ValueError):
-                failed[side] += 1
-                print(f"{side:<6} {seed:>5}  no result (exit "
-                      f"{proc.returncode}): {err.strip()[-200:]}", flush=True)
-                continue
-            correct = result["correct"]
-            failed[side] += not correct
-            spans = (checkouts[side] / "bench" / "out" /
-                     f"spans-{args.workload}-seed{seed}.jsonl")
-            name, length, gap = lowest_unit(
-                spans, _unit_names(checkouts[side], args.workload))
-            cov = result["metrics"]["bench.span_coverage"]["value"]
-            print(f"{side:<6} {seed:>5}  {str(correct):<7}  {cov:7.3f}  "
-                  f"{name:<20} {length * 1e3:8.3f} {gap * 1e6:7.1f}",
-                  flush=True)
+        try:
+            for side, proc in procs.items():
+                failed[side] += not _report(side, seed, proc,
+                                            checkouts[side], args.workload)
+        finally:  # an interrupted pair leaves no run behind
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
     n = len(args.seeds)
     print(f"parent failed {failed['parent']} of {n}, "
           f"change failed {failed['change']} of {n}")
