@@ -290,7 +290,8 @@ def _fmt(x: float) -> str:
 
 def emit_results(rows: list[ResultRow], format: str = "csv") -> str:
     """CSV with a header line, or one JSON object per row; floats have 12
-    significant digits in both."""
+    significant digits in both. A NaN (a row with no reference) is `nan`
+    in CSV and `null` in JSON, which has no NaN."""
     if not rows:
         raise ValueError("no rows to emit")
     if format not in FORMATS:
@@ -303,7 +304,8 @@ def emit_results(rows: list[ResultRow], format: str = "csv") -> str:
                                   for v in values))
         else:
             lines.append(json.dumps({
-                f: float(_fmt(v)) if isinstance(v, float) else v
+                f: (None if math.isnan(v) else float(_fmt(v)))
+                if isinstance(v, float) else v
                 for f, v in zip(CSV_FIELDS, values)}))
     return "\n".join(lines) + "\n"
 

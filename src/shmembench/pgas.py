@@ -46,7 +46,10 @@ of every collective lands in the receiver's mailbox, a count per key
 (`_send_ctrl` or `_send_payload`, then `_mail_deliver`). A PE that finds
 too few takes its claim out of the count (`_claim_mail`), so a negative
 count means its owner is blocked there, and the message that brings it to
-zero wakes the owner; no collective waits on a signal. A blocking call's
+zero wakes the owner. Every blocked PE is resumed the same way, by one
+`_wake` from what it waits for: a mailbox count, the landing of an RMA op
+it waits on (`_OpState.waited`), a reply or lock grant sent to it, or the
+write that satisfies its one cell wait (`_cell_wait`). A blocking call's
 result is the value its wait resumes with.
 
 The measurement functions share one skeleton: `run_fresh` runs a program
@@ -134,21 +137,14 @@ BARRIER_DISSEMINATION = "dissemination"
 BARRIER_REDUCE_BCAST = "reduce_bcast"
 
 
-class _Signal:
-    __slots__ = ("waiters",)
-
-    def __init__(self):
-        self.waiters: list[int] = []
-
-
 class _Wait:
-    """A PE's request to block until `signal` fires. With no signal, the
-    PE has arranged its own wake-up, as a mailbox wait does. The reason
-    is `fmt` formatted with `args`, built only when a deadlock reports it."""
-    __slots__ = ("signal", "fmt", "args")
+    """A PE's request to block. The PE has arranged its own wake-up
+    before it yields this: whatever it waits for calls `PgasWorld._wake`
+    on it. The reason is `fmt` formatted with `args`, built only when a
+    deadlock reports it."""
+    __slots__ = ("fmt", "args")
 
-    def __init__(self, signal: _Signal | None, fmt: str, *args):
-        self.signal = signal
+    def __init__(self, fmt: str, *args):
         self.fmt = fmt
         self.args = args
 
@@ -157,12 +153,12 @@ class _Wait:
 
 
 class _OpState:
-    __slots__ = ("op_id", "delivered", "done", "deferred")
+    __slots__ = ("op_id", "delivered", "waited", "deferred")
 
     def __init__(self, op_id: str):
         self.op_id = op_id
         self.delivered = False
-        self.done = _Signal()
+        self.waited = False  # set when its PE blocks until it lands
         self.deferred = None  # set for ON_QUIET non-blocking ops
 
 
@@ -207,7 +203,7 @@ class _LockState:
 
     def __init__(self):
         self.holder: int | None = None
-        self.queue: deque[tuple[int, _Signal]] = deque()
+        self.queue: deque[int] = deque()  # ranks waiting in lock_set
 
 
 @lru_cache(maxsize=1 << 12)
@@ -311,7 +307,8 @@ class Pe:
         w._trace(tr.LOCAL_COMPLETE, self.rank, op.op_id)
         if net.put_return_policy is PutReturnPolicy.REMOTE_COMPLETION:
             if not op.delivered:
-                yield _Wait(op.done, "put {} remote completion", op.op_id)
+                op.waited = True
+                yield _Wait("put {} remote completion", op.op_id)
         return op.op_id
 
     def get(self, target: int, offset: int, nbytes: int, dst_offset: int | None = None):
@@ -328,7 +325,8 @@ class Pe:
         w._round_trip(rank, target, w.now + w.net.o_s, 0,
                       partial(w._take, target, offset, nbytes), nbytes,
                       complete)
-        yield _Wait(op.done, "get {} completion", op.op_id)
+        op.waited = True
+        yield _Wait("get {} completion", op.op_id)
         return op.op_id
 
     def put_nbi(self, target: int, offset: int, nbytes: int, src_offset: int | None = None):
@@ -373,7 +371,8 @@ class Pe:
                 launch()
         for op in pending:
             if not op.delivered:
-                yield _Wait(op.done, "quiet on {}", op.op_id)
+                op.waited = True
+                yield _Wait("quiet on {}", op.op_id)
         yield w.net.q0
         w._pending[self.rank].clear()
         w._trace(tr.QUIET_DONE, self.rank, qid)
@@ -399,11 +398,11 @@ class Pe:
 
         def respond(pre):
             w._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
-            w._fire(op.done, pre)
+            w._wake(rank, pre)
 
         w._round_trip(rank, target, w.now + w.net.o_s, INT_SIZE, apply,
                       INT_SIZE, respond)
-        return (yield _Wait(op.done, "fetch_inc {} response", op.op_id))
+        return (yield _Wait("fetch_inc {} response", op.op_id))
 
     def wait_until(self, offset: int, cmp: str, value: int):
         """Suspend until the local integer cell satisfies `cmp value`."""
@@ -411,18 +410,16 @@ class Pe:
         fn = _CMP[cmp]
         if fn(w._heap_read_int(self.rank, offset), value):
             return
-        sig = _Signal()
-        w._cell_waiters[self.rank].append((offset, fn, value, sig))
-        yield _Wait(sig, "wait_until heap[{}] {} {}", offset, cmp, value)
+        w._cell_wait[self.rank] = (offset, fn, value)
+        yield _Wait("wait_until heap[{}] {} {}", offset, cmp, value)
 
     def fetch_remote_clock(self, target: int):
         """Round-trip read of the target's local clock at the serve instant."""
         w = self.world
-        done = _Signal()
         w._round_trip(self.rank, target, w.now + w.net.o_s, 0,
                       lambda: w.clock.local_time(target, w.now), INT_SIZE,
-                      partial(w._fire, done))
-        return (yield _Wait(done, "remote clock fetch"))
+                      partial(w._wake, self.rank))
+        return (yield _Wait("remote clock fetch"))
 
     # -- collectives -------------------------------------------------------------
 
@@ -440,7 +437,7 @@ class Pe:
                     yield o_s
                     w._send_ctrl(rank, (rank + (1 << k)) % P, key)
                     if not w._claim_mail(rank, key, 1):
-                        yield _Wait(None, "barrier {} round {}", inst, k)
+                        yield _Wait("barrier {} round {}", inst, k)
             else:
                 root = w.barrier_root
                 release = ("bar_rel", inst)
@@ -448,9 +445,9 @@ class Pe:
                     yield o_s
                     w._send_ctrl(rank, root, ("bar_red", inst))
                     if not w._claim_mail(rank, release, 1):
-                        yield _Wait(None, "barrier {} release", inst)
+                        yield _Wait("barrier {} release", inst)
                 elif not w._claim_mail(rank, ("bar_red", inst), P - 1):
-                    yield _Wait(None, "barrier {} reduce", inst)
+                    yield _Wait("barrier {} reduce", inst)
                 for dst in _bcast_children(BCAST_BINOMIAL, rank, root, P):
                     yield o_s
                     w._send_ctrl(rank, dst, release)
@@ -474,7 +471,7 @@ class Pe:
         if P > 1:
             key = ("bc", inst)
             if rank != root and not w._claim_mail(rank, key, 1):
-                yield _Wait(None, "bcast {} data", inst)
+                yield _Wait("bcast {} data", inst)
             last_dep, cost = w.now, w.net.o_s + w.net.G * nbytes
             for dst in _bcast_children(w.bcast_topology, rank, root, P):
                 yield cost
@@ -515,23 +512,21 @@ class Pe:
         w = self.world
         lk = w._lock(home, offset)
         oid = f"lock-{home}-{offset}"
-        done = _Signal()
         rank = self.rank
 
         def req_arrive():
             if lk.holder is None:
-                w._grant(lk, home, oid, rank, done)
+                w._grant(lk, home, oid, rank)
             else:
-                lk.queue.append((rank, done))
+                lk.queue.append(rank)
 
         w._inject(rank, w.now + w.net.o_s, 0, req_arrive)
-        yield _Wait(done, "lock_set {}", oid)
+        yield _Wait("lock_set {}", oid)
 
     def lock_test(self, offset: int, home: int = 0):
         w = self.world
         lk = w._lock(home, offset)
         oid = f"lock-{home}-{offset}"
-        done = _Signal()
         rank = self.rank
 
         def serve():
@@ -542,8 +537,8 @@ class Pe:
             return True
 
         w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
-                      partial(w._fire, done))
-        return (yield _Wait(done, "lock_test {}", oid))
+                      partial(w._wake, rank))
+        return (yield _Wait("lock_test {}", oid))
 
     def lock_clear(self, offset: int, home: int = 0):
         w = self.world
@@ -552,19 +547,18 @@ class Pe:
             raise LockError(
                 f"PE {self.rank} clearing lock ({home},{offset}) held by {lk.holder}")
         oid = f"lock-{home}-{offset}"
-        done = _Signal()
         rank = self.rank
 
         def serve():
             w._trace(tr.LOCK_RELEASED, rank, oid)
             if lk.queue:
-                w._grant(lk, home, oid, *lk.queue.popleft())
+                w._grant(lk, home, oid, lk.queue.popleft())
             else:
                 lk.holder = None
 
         w._round_trip(rank, home, w.now + w.net.o_s, 0, serve, 0,
-                      partial(w._fire, done))
-        yield _Wait(done, "lock_clear {}", oid)
+                      partial(w._wake, rank))
+        yield _Wait("lock_clear {}", oid)
 
 
 class PgasWorld:
@@ -616,7 +610,8 @@ class PgasWorld:
         # blocked there, still waits for; a count of 0 is no key. This one
         # mailbox holds every barrier's and broadcast's messages.
         self._mail: list[dict] = [dict() for _ in range(npes)]
-        self._cell_waiters: list[list] = [list() for _ in range(npes)]
+        # per PE: the (offset, cmp, value) its wait_until blocks on, or None
+        self._cell_wait: list[tuple | None] = [None] * npes
         self._locks: dict[tuple[int, int], _LockState] = {}
         self._coll_count = [0] * npes
         # collective call number -> (kind, root, op id, enters, exits)
@@ -700,8 +695,6 @@ class PgasWorld:
             value = None
             kind = type(req)
             if kind is _Wait:
-                if req.signal is not None:
-                    req.signal.waiters.append(rank)
                 self._waits[rank] = req
                 return
             if kind is not float and (kind is bool or not isinstance(
@@ -722,11 +715,6 @@ class PgasWorld:
         """Queue `rank` to resume now, with `value`."""
         self._seq += 1
         self._ready.append((self.now, self._seq, rank, value))
-
-    def _fire(self, sig: _Signal, value=None):
-        waiters, sig.waiters = sig.waiters, []
-        for rank in waiters:
-            self._wake(rank, value)
 
     # -- NIC ------------------------------------------------------------------
 
@@ -803,13 +791,14 @@ class PgasWorld:
 
     def _land(self, op: _OpState, rank: int, pe: int, offset: int, data):
         """Complete `rank`'s RMA op `op`: write its payload (from `_take`)
-        to `pe`'s heap, wake the cells it satisfies and whoever waits for
-        the op."""
+        to `pe`'s heap, wake the cell wait it satisfies, and wake `rank` if
+        it is blocked on the op."""
         self._write(pe, offset, data)
         op.delivered = True
         self._trace(tr.REMOTE_DELIVERED, rank, op.op_id)
         self._heap_written(pe, offset, len(data))
-        self._fire(op.done)
+        if op.waited:
+            self._wake(rank)
 
     def _mail_deliver(self, dst: int, key):
         """Count one message in `dst`'s mailbox `key`; wake `dst` if it is
@@ -882,19 +871,16 @@ class PgasWorld:
         heap[offset:end] = data
 
     def _heap_written(self, pe: int, offset: int, nbytes: int):
-        """Re-check cell waiters after a write to [offset, offset+nbytes)."""
-        waiters = self._cell_waiters[pe]
-        if not waiters:
+        """Wake `pe` if a write to its [offset, offset+nbytes) satisfies
+        the cell wait it is blocked in."""
+        cell = self._cell_wait[pe]
+        if cell is None:
             return
-        keep = []
-        for item in waiters:
-            woff, fn, value, sig = item
-            overlaps = woff < offset + nbytes and offset < woff + INT_SIZE
-            if overlaps and fn(self._heap_read_int(pe, woff), value):
-                self._fire(sig)
-            else:
-                keep.append(item)
-        self._cell_waiters[pe] = keep
+        woff, fn, value = cell
+        if (woff < offset + nbytes and offset < woff + INT_SIZE
+                and fn(self._heap_read_int(pe, woff), value)):
+            self._cell_wait[pe] = None
+            self._wake(pe)
 
     # -- collectives / locks -------------------------------------------------------
 
@@ -904,13 +890,12 @@ class PgasWorld:
         self._check_range(home, offset, INT_SIZE)
         return self._locks.setdefault((home, offset), _LockState())
 
-    def _grant(self, lk: _LockState, home: int, oid: str, rank: int,
-               granted: _Signal):
+    def _grant(self, lk: _LockState, home: int, oid: str, rank: int):
         """Hand lock `oid` at `home` to `rank` and send it the grant."""
         lk.holder = rank
         self._trace(tr.LOCK_ACQUIRED, rank, oid)
         self._inject(home, self.now + self.net.o_s, 0,
-                     partial(self._fire, granted))
+                     partial(self._wake, rank))
 
     def _trace(self, kind: str, pe: int, op_id: str):
         self.trace.record(self.now, pe, kind, op_id)

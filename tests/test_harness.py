@@ -347,6 +347,22 @@ class TestEmission:
         assert obj["mean"] == float(f"{row.mean:.12g}")
         assert obj["samples"] == 3 and obj["name"] == "m"
 
+    def test_jsonl_no_reference_is_strict_json(self):
+        # lock_contended and nbi_*_overlap rows have no reference: JSON
+        # has no NaN, so a strict parser must still read them
+        row = ResultRow("lock_contended", 0, "-", 1e-6, 0.0, 2,
+                        math.nan, math.nan)
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        obj = json.loads(emit_results([row], "jsonl"),
+                         parse_constant=reject)
+        assert obj["ground_truth"] is None
+        assert obj["relative_error"] is None
+        assert obj["mean"] == 1e-6
+        assert emit_results([row], "csv").splitlines()[1].endswith(",nan,nan")
+
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError):
             emit_results([], "csv")

@@ -4,9 +4,10 @@ Every world a measurement runs is captured, and its ground-truth trace must
 keep simulated time monotone, deliver each posted op exactly once, and
 nest each PE's broadcast and barrier instances in call order; every
 collective message must be claimed, so each run ends with every mailbox
-empty. Each example either lends every non-empty payload or copies every
-one, and runs either barrier algorithm at any P from 2 to 9, so
-dissemination rounds at a P that is not a power of two are drawn too.
+empty, and every `wait_until` woken, so no PE is left with a cell wait.
+Each example either lends every non-empty payload or copies every one, and
+runs either barrier algorithm at any P from 2 to 9, so dissemination
+rounds at a P that is not a power of two are drawn too.
 """
 
 from collections import Counter
@@ -139,3 +140,4 @@ def test_collective_instances_nest(**params):
 def test_every_run_leaves_every_mailbox_empty(**params):
     for w in _measured_worlds(**params):
         assert w._mail == [{} for _ in range(w.npes)]
+        assert w._cell_wait == [None] * w.npes

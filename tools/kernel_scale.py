@@ -1,18 +1,21 @@
 """Host cost of the event kernel as the PE count grows.
 
-Runs two rows at P = 8, 32 and 128 on a jittered wire (o_s = o_r = 0.5 us,
+Runs three rows at P = 8, 32 and 128 on a jittered wire (o_s = o_r = 0.5 us,
 L = 1 us, g = 0.2 us, G = 1 ns/B, latency jitter +-0.1 us, jitter seed 1)
 with a binomial broadcast tree and the dissemination barrier:
 
 - `bcast_sk`: `measure_bcast_sk` with M = 2 and a 64-byte payload;
-- `barrier`: `measure_barrier_time` over 100 timed barriers.
+- `barrier`: `measure_barrier_time` over 100 timed barriers;
+- `lock`: `measure_lock` on the `contended_set` scenario with 16 set/clear
+  pairs per PE, every PE but the requester contending for one lock.
 
 For each row it prints the median process CPU seconds of five calls, the
 trace entries of one call, host microseconds per entry, and the measured
 result, which a change to the kernel's speed must leave as it is. The
-barrier's entries come from the same 101 barriers (one to align, 100
-timed) run through `run_fresh`, since its measurement keeps no world. Uses
-public functions only:
+barrier's and the lock's measurements keep no world, so their entries come
+from the same loop run through `run_fresh`: 101 barriers (one to align,
+100 timed), and one barrier then 16 contended set/clear pairs on every PE,
+with the requester's `lock_set` timed. Uses public functions only:
 
     PYTHONPATH=src python tools/kernel_scale.py
 """
@@ -20,14 +23,17 @@ public functions only:
 import statistics
 import time
 
-from shmembench import (BARRIER_DISSEMINATION, ClockModel, NetworkModel,
-                        PgasWorld, measure_barrier_time, measure_bcast_sk,
-                        run_fresh)
+from shmembench import (BARRIER_DISSEMINATION, ClockModel, LockScenario,
+                        NetworkModel, PgasWorld, measure_barrier_time,
+                        measure_bcast_sk, measure_lock, run_fresh)
+from shmembench.lockbench import LOCK_OFFSET
 
 PES = (8, 32, 128)
 CALLS = 5
 NBYTES, M = 64, 2
 BARRIERS = 100
+LOCKS = 16
+CONTENDED = LockScenario("contended_set")
 WIRE = NetworkModel(o_s=5e-7, o_r=5e-7, L=1e-6, g=2e-7, G=1e-9,
                     jitter_half_width=1e-7)
 
@@ -37,6 +43,18 @@ def _barriers(pe):
         yield from pe.barrier()
 
 
+def _contended_locks(pe):
+    timed = pe.rank == CONTENDED.requester_pe
+    yield from pe.barrier()
+    for _ in range(LOCKS):
+        if timed:
+            yield from pe.stamp_begin()
+        yield from pe.lock_set(LOCK_OFFSET, CONTENDED.home_pe)
+        if timed:
+            yield from pe.stamp_end()
+        yield from pe.lock_clear(LOCK_OFFSET, CONTENDED.home_pe)
+
+
 def _rows(world):
     """Yield (row name, one call, entries of a call's run) per row."""
     sk = measure_bcast_sk(world, NBYTES, M=M)
@@ -44,6 +62,8 @@ def _rows(world):
            len(sk.world.trace.entries))
     yield ("barrier", lambda: measure_barrier_time(world, BARRIERS).result,
            len(run_fresh(world, _barriers).trace.entries))
+    yield ("lock", lambda: measure_lock(world, CONTENDED, LOCKS).result,
+           len(run_fresh(world, _contended_locks).trace.entries))
 
 
 def main() -> None:
