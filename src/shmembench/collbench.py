@@ -177,8 +177,7 @@ def measure_bcast_sk(world: PgasWorld, nbytes: int, M: int = 16) -> Measurement:
     loop time minus the calibrated acknowledgment time.  The reported value
     is the maximum over tasks.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_iters(M, "M")
     root = 0
 
     def prog(pe):

@@ -16,7 +16,7 @@ from ..collbench import (ground_truth_bcast_span, measure_bcast_barrier,
 from ..lockbench import LockScenario, measure_lock
 from ..netmodel import ClockModel, NetworkModel
 from ..p2pbench import measure_blocking, measure_nonblocking, measure_quiet
-from ..pgas import Measurement, PgasWorld, idle
+from ..pgas import DeadlockError, Measurement, PgasWorld, idle
 from ..syncschemes import measure_barrier_time
 from ..trace import LOCAL_COMPLETE, POST
 
@@ -126,27 +126,15 @@ def _barrier_span(net, new_world, spec, nbytes):
 def _lock(mode, round_trips=None):
     """A lock scenario whose reference, if any, is `round_trips` round
     trips to the home PE."""
-    def run(world, spec, nbytes):
-        scenario = LockScenario(mode, home_pe=spec.home_pe,
-                                requester_pe=spec.requester_pe)
-        return measure_lock(world, scenario, spec.iters)
-
-    def check(spec, npes):
-        for key in ("home_pe", "requester_pe"):
-            rank = getattr(spec, key)
-            if not 0 <= rank < npes:
-                return f"{key} = {rank} is not a PE of npes = {npes}"
-        # the home PE holds the lock; held by the requester, it tests free
-        if mode == "test_held" and spec.home_pe == spec.requester_pe:
-            return ("lock_test_held needs home_pe != requester_pe, "
-                    f"got {spec.home_pe} for both")
-        return None
+    def scenario(spec):
+        return LockScenario(mode, spec.home_pe, spec.requester_pe)
 
     truth = (_no_truth if round_trips is None else lambda net, new, s, n:
              round_trips * (net.o_s + net.L + net.o_r))
-    return MeasurementType(run, truth, lockbench.heap_footprint,
-                           frozenset({"iters", "home_pe", "requester_pe"}),
-                           check=check)
+    return MeasurementType(lambda w, s, n: measure_lock(
+        w, scenario(s), s.iters), truth, lockbench.heap_footprint,
+        frozenset({"iters", "home_pe", "requester_pe"}),
+        check=lambda s, npes: scenario(s).check(npes))
 
 
 MEASUREMENT_TYPES: dict[str, MeasurementType] = {
@@ -241,13 +229,13 @@ def _build_world(cfg: BenchConfig, spec: MeasurementSpec, nbytes: int,
                  or mtype.footprint)
     npes = spec.npes if spec.npes is not None else cfg.npes
     clock = ClockModel(npes, drift_rate=cfg.drift, initial_offset=cfg.offset,
-                       timer_overhead=cfg.timer_overhead,
-                       jitter_seed=jitter_seed)
+                       timer_overhead=cfg.timer_overhead)
     return PgasWorld(npes, cfg.networks[spec.network], clock,
                      heap_size=footprint(nbytes),
                      bcast_topology=spec.algo,
                      barrier_algo=spec.barrier,
-                     barrier_root=spec.barrier_root)
+                     barrier_root=spec.barrier_root,
+                     jitter_seed=jitter_seed)
 
 
 def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
@@ -271,12 +259,16 @@ def run_config(cfg: BenchConfig, seed: int | None = None) -> list[ResultRow]:
                 values.append(mtype.run(world, spec, nbytes).result)
                 return values[-1]
 
-            mean, sigma, samples = run_until_stable(
-                thunk, cfg.sigma_threshold, cfg.max_reps)
-            truth = mtype.truth(
-                net, lambda: _build_world(cfg, spec, nbytes, _derived_seed(
-                    base_seed, spec.name, nbytes, -1), reference=True),
-                spec, nbytes)
+            try:
+                mean, sigma, samples = run_until_stable(
+                    thunk, cfg.sigma_threshold, cfg.max_reps)
+                truth = mtype.truth(net, lambda: _build_world(
+                    cfg, spec, nbytes, _derived_seed(
+                        base_seed, spec.name, nbytes, -1), reference=True),
+                    spec, nbytes)
+            except DeadlockError as e:
+                e.args = (f"measurement.{spec.name} nbytes={nbytes}: {e}",)
+                raise
             rel = (abs(mean - truth) / max(truth, EPSILON)
                    if not math.isnan(truth) else math.nan)
             rows.append(ResultRow(spec.name, nbytes, spec.algo, mean, sigma,

@@ -29,10 +29,28 @@ class LockScenario:
     requester_pe: int = 1
     holders: list[int] = field(default_factory=list)
 
+    def check(self, npes: int) -> str | None:
+        """Why the scenario cannot run on `npes` PEs, if it cannot."""
+        for key, rank in [("home_pe", self.home_pe),
+                          ("requester_pe", self.requester_pe),
+                          *(("holders", rank) for rank in self.holders)]:
+            if not 0 <= rank < npes:
+                return f"{key} = {rank} is not a PE of npes = {npes}"
+        # held by the requester, the lock would test free
+        key, holder = (("holders[0]", self.holders[0]) if self.holders
+                       else ("home_pe", self.home_pe))
+        if self.mode == "test_held" and holder == self.requester_pe:
+            return (f"lock_test_held needs {key} != requester_pe, "
+                    f"got {holder} for both")
+        return None
+
 
 def measure_lock(world: PgasWorld, scenario: LockScenario,
                  iters: int = 16) -> Measurement:
     check_iters(iters)
+    problem = scenario.check(world.npes)
+    if problem:
+        raise ValueError(problem)
     mode = scenario.mode
     if mode == "uncontended_set_clear":
         return _uncontended(world, scenario, iters)

@@ -88,7 +88,6 @@ class ClockModel:
     drift_rate: tuple[float, ...] = field(default=())
     initial_offset: tuple[float, ...] = field(default=())
     timer_overhead: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self):
         if self.npes < 1:
@@ -114,11 +113,6 @@ class ClockModel:
         if not 0 <= pe < self.npes:
             raise ValueError(f"unknown pe {pe}")
         return (t_local - self.initial_offset[pe]) / (1.0 + self.drift_rate[pe])
-
-    @classmethod
-    def ideal(cls, npes: int, timer_overhead: float = 0.0, jitter_seed: int = 0) -> "ClockModel":
-        """Drift-free, offset-free clocks."""
-        return cls(npes=npes, timer_overhead=timer_overhead, jitter_seed=jitter_seed)
 
 
 def ceil_log2(n: int) -> int:

@@ -36,7 +36,7 @@ def issue(pe, op: str, nbytes: int):
 
 
 def _run_on_pe0(world: PgasWorld, frag):
-    """Run `frag` on PE 0 of a fresh world, idle elsewhere; returns its value."""
+    """Run `frag` on PE 0 of `world`, idle elsewhere; returns its value."""
     return run_fresh(world, frag, ranks=(0,)).returned[0]
 
 

@@ -27,8 +27,8 @@ time still runs first. A `_Wait` carries its reason as a format string and
 arguments, formatted only for a deadlock report.
 
 Large heap bytes exist only where a run touches them. The symmetric heap
-is allocated and zeroed on first access, so a template world that
-`run_fresh` only copies holds none. A heap of at least `PER_PE_HEAP_MIN`
+is allocated and zeroed on first access, so a world that has not run
+holds none. A heap of at least `PER_PE_HEAP_MIN`
 bytes is allocated for each PE on that PE's first access, so a PE that no
 operation addresses holds none; a smaller one comes for every PE at once.
 A payload below `LEND_MIN` bytes is copied when it is sent; a larger one
@@ -53,7 +53,7 @@ write that satisfies its one cell wait (`_cell_wait`). A blocking call's
 result is the value its wait resumes with.
 
 The measurement functions share one skeleton: `run_fresh` runs a program
-on a fresh world, `timed_loop` times a loop of calls with either
+on the world it is given, `timed_loop` times a loop of calls with either
 `TimingStrategy`, and `Measurement.clamped` reports a difference of
 timings, clamped at zero.
 """
@@ -179,9 +179,9 @@ class _Loan:
 
 
 class _Heaps(dict):
-    """PE -> its zeroed symmetric heap of `size` bytes, allocated on first
-    lookup: that PE's alone from `PER_PE_HEAP_MIN` bytes up, below it every
-    one of the `npes` PEs' heaps at once."""
+    """One run's PE -> its zeroed symmetric heap of `size` bytes, allocated
+    on first lookup: that PE's alone from `PER_PE_HEAP_MIN` bytes up, below
+    it every one of the `npes` PEs' heaps at once."""
     __slots__ = ("size", "npes")
 
     def __init__(self, size: int, npes: int):
@@ -564,20 +564,22 @@ class Pe:
 class PgasWorld:
     """The simulated machine: PEs, symmetric heap, NIC queues, trace.
 
-    `heap` maps each PE to its zeroed `heap_size`-byte heap, allocated on
-    first lookup: a world that never touches memory (a template copied by
-    `fresh`, a barrier-only run) holds none. From `PER_PE_HEAP_MIN` bytes
-    up a run holds one heap per PE that it addresses; below it, every PE's.
+    Each `run` starts from the initial state, its jitter drawn from
+    `jitter_seed`; the last run's trace, `returned` and heaps stay as it
+    left them. `heap` maps each PE to its zeroed `heap_size`-byte heap,
+    allocated on first lookup, so an unrun world holds none, nor does a
+    barrier-only run. From `PER_PE_HEAP_MIN` bytes up a run holds one heap
+    per PE that it addresses; below it, every PE's.
     """
 
     def __init__(self, npes: int, net: NetworkModel, clock: ClockModel | None = None,
                  heap_size: int = DEFAULT_HEAP_SIZE,
                  bcast_topology: str = BCAST_BINOMIAL,
                  barrier_algo: str = BARRIER_DISSEMINATION,
-                 barrier_root: int = 0):
+                 barrier_root: int = 0, jitter_seed: int = 0):
         if npes < 1:
             raise ValueError("npes must be >= 1")
-        clock = clock if clock is not None else ClockModel.ideal(npes)
+        clock = clock if clock is not None else ClockModel(npes)
         if clock.npes != npes:
             raise ValueError("clock model sized for a different PE count")
         if bcast_topology not in (BCAST_LINEAR, BCAST_BINOMIAL):
@@ -595,8 +597,14 @@ class PgasWorld:
         self.bcast_topology = bcast_topology
         self.barrier_algo = barrier_algo
         self.barrier_root = barrier_root
+        self.jitter_seed = jitter_seed
+        self._start()  # an unrun world reads as one that ran nothing
 
-        self.heap: dict[int, bytearray] = _Heaps(heap_size, npes)
+    def _start(self):
+        """Set up a run's initial state. Every container is a new one, so
+        an earlier run's trace, `returned` and heaps stay as it left them."""
+        npes = self.npes
+        self.heap: dict[int, bytearray] = _Heaps(self.heap_size, npes)
         self._loans: set[_Loan] = set()  # lent payloads not yet landed
         self.trace = GroundTruthTrace()
         self.now = 0.0
@@ -604,7 +612,7 @@ class PgasWorld:
         self._ready: deque = deque()  # wakes, queued at the time they fire
         self._seq = 0
         self._nic_free = [0.0] * npes
-        self._random = random.Random(clock.jitter_seed).random
+        self._random = random.Random(self.jitter_seed).random
         self._pending: list[dict[str, _OpState]] = [dict() for _ in range(npes)]
         # per PE: mail key -> messages there, or minus those its owner,
         # blocked there, still waits for; a count of 0 is no key. This one
@@ -620,23 +628,15 @@ class PgasWorld:
         self._next_quiet = 0
         self._sends: list = []  # each PE generator's `send`
         # each PE's last wait; None before its first and once it is done
-        self._waits: list[_Wait | None] = []
+        self._waits: list[_Wait | None] = [None] * npes
         self.returned: list = [None] * npes  # each PE program's return value
-        self._ran = False
 
     def fresh(self, jitter_seed: int | None = None) -> "PgasWorld":
-        """A new, unrun world with the same configuration."""
-        clock = self.clock
-        if jitter_seed is not None and jitter_seed != clock.jitter_seed:
-            clock = ClockModel(npes=clock.npes, drift_rate=clock.drift_rate,
-                               initial_offset=clock.initial_offset,
-                               timer_overhead=clock.timer_overhead,
-                               jitter_seed=jitter_seed)
-        return PgasWorld(self.npes, self.net, clock,
-                         heap_size=self.heap_size,
-                         bcast_topology=self.bcast_topology,
-                         barrier_algo=self.barrier_algo,
-                         barrier_root=self.barrier_root)
+        """A new world with this description and, if given, `jitter_seed`."""
+        seed = self.jitter_seed if jitter_seed is None else jitter_seed
+        return PgasWorld(self.npes, self.net, self.clock, self.heap_size,
+                         self.bcast_topology, self.barrier_algo,
+                         self.barrier_root, seed)
 
     def pe(self, rank: int) -> Pe:
         return Pe(self, rank)
@@ -647,15 +647,12 @@ class PgasWorld:
         programs = list(programs)
         if len(programs) != self.npes:
             raise ValueError(f"need exactly {self.npes} programs, got {len(programs)}")
-        if self._ran:
-            raise SimulationError("a PgasWorld runs once; use .fresh()")
-        self._ran = True
+        self._start()
         for rank, prog in enumerate(programs):
             gen = prog(self.pe(rank))
             if type(gen) is not GeneratorType:
                 gen = _as_generator(gen)
             self._sends.append(gen.send)
-            self._waits.append(None)
             self._seq += 1
             self._ready.append((0.0, self._seq, rank, None))
         queue, ready, resume = self._queue, self._ready, self._resume
@@ -913,18 +910,17 @@ def _as_generator(requests: Iterable | None) -> Generator:
         yield from requests
 
 
-def run_fresh(template: PgasWorld, prog: Callable[[Pe], Generator],
+def run_fresh(world: PgasWorld, prog: Callable[[Pe], Generator],
               ranks: Iterable[int] | None = None) -> PgasWorld:
-    """Run `prog` on `ranks` (every PE by default) of a fresh copy of
-    `template`, and `idle` on every other PE; returns the run world."""
-    w = template.fresh()
-    ranks = range(w.npes) if ranks is None else set(ranks)
-    w.run([prog if rank in ranks else idle for rank in range(w.npes)])
-    return w
+    """Run `prog` on `ranks` (every PE by default) of `world`, from its
+    initial state, and `idle` on every other PE; returns `world`."""
+    ranks = range(world.npes) if ranks is None else set(ranks)
+    world.run([prog if rank in ranks else idle for rank in range(world.npes)])
+    return world
 
 
 def check_iters(iters: int, name: str = "iters"):
-    """Reject a loop count before any world is built for it."""
+    """Reject a loop count before any run."""
     if iters < 1:
         raise ValueError(f"{name} must be >= 1")
 
@@ -967,8 +963,8 @@ class Measurement:
     name a doubtful result (`unstable`: a difference clamped at zero, see
     `clamped`; `invalid`: most windows overran), `components` hold the
     terms it was derived from, `per_task` a per-PE estimate, `discarded`
-    the overrun windows, and `world` the run, kept only where trace checks
-    need it.
+    the overrun windows, and `world`, where trace checks need it, the world
+    the caller passed in, after its run.
     """
     result: float
     iterations: int

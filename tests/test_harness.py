@@ -13,7 +13,7 @@ from shmembench.harness import (MEASUREMENT_TYPES, ConfigError, ResultRow,
                                 emit_results, ground_truth_report,
                                 parse_config, parse_duration, run_config,
                                 run_until_stable)
-from shmembench import PgasWorld, collbench, p2pbench
+from shmembench import DeadlockError, PgasWorld, collbench, p2pbench
 from shmembench.harness import runner
 from shmembench.harness.runner import TYPE_KEYS
 from shmembench.harness import cli as cli_module
@@ -787,6 +787,29 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: simulation deadlock: ")
         assert err.count("\n") == 1
+
+    def test_deadlock_names_its_section_and_size(self, tmp_path, capsys):
+        path = tmp_path / "deadlock.conf"
+        path.write_text("[network.n]\nL = 1us\n\n[run]\nnpes = 4\n\n"
+                        "[measurement.sk_big]\ntype = bcast_sk\n"
+                        "nbytes = 8, 2097152\nM = 1\n")
+        assert cli_main(["--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "error: simulation deadlock: measurement.sk_big nbytes=2097152: "
+            "deadlock, blocked PEs: PE 0: ")
+
+    def test_deadlock_keeps_its_type_and_blocked_pes(self):
+        cfg = parse_config("[network.n]\nL = 1us\n\n[run]\nnpes = 4\n\n"
+                           "[measurement.sk_big]\ntype = bcast_sk\n"
+                           "nbytes = 2097152\nM = 1\n")
+        with pytest.raises(DeadlockError) as raised:
+            run_config(cfg)
+        assert str(raised.value).startswith(
+            "measurement.sk_big nbytes=2097152: deadlock, blocked PEs: ")
+        assert raised.value.blocked
+        assert set(raised.value.blocked) <= {0, 1, 2, 3}
 
     def test_undecodable_config_is_one_line_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.conf"

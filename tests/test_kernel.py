@@ -48,7 +48,7 @@ def _jittered_wire():
         yield from pe.quiet()
         return t
 
-    w = PgasWorld(3, JITTER, ClockModel.ideal(3, jitter_seed=17))
+    w = PgasWorld(3, JITTER, jitter_seed=17)
     return w, [prog] * 3
 
 
@@ -61,7 +61,7 @@ def _broadcasts(topology, net, npes, seed):
             out.append(pe.world.now)
         return out
 
-    w = PgasWorld(npes, net, ClockModel.ideal(npes, jitter_seed=seed),
+    w = PgasWorld(npes, net, jitter_seed=seed,
                   bcast_topology=topology)
     return w, [prog] * npes
 
@@ -73,7 +73,7 @@ def _barriers(algo, root):
             yield from pe.barrier()
         return pe.world.now
 
-    w = PgasWorld(5, JITTER, ClockModel.ideal(5, jitter_seed=5),
+    w = PgasWorld(5, JITTER, jitter_seed=5,
                   barrier_algo=algo, barrier_root=root)
     return w, [prog] * 5
 
@@ -134,7 +134,7 @@ def _nbi_background():
         ops.append((yield from pe.quiet()))
         return ops, [pe.load_int(off) for off in (64, 128, 512, 768)]
 
-    w = PgasWorld(3, net, ClockModel.ideal(3, jitter_seed=29))
+    w = PgasWorld(3, net, jitter_seed=29)
     return w, [prog] * 3
 
 
@@ -149,7 +149,7 @@ def _single_pe():
         yield from pe.barrier()
         return before, pe.load_int(256), pe.world.now
 
-    return PgasWorld(1, JITTER, ClockModel.ideal(1, jitter_seed=31)), [prog]
+    return PgasWorld(1, JITTER, jitter_seed=31), [prog]
 
 
 def _fetch_inc_wait_until():
@@ -164,14 +164,14 @@ def _fetch_inc_wait_until():
             yield from pe.fetch_inc(0, 8)
         return pre
 
-    w = PgasWorld(4, JITTER, ClockModel.ideal(4, jitter_seed=23))
+    w = PgasWorld(4, JITTER, jitter_seed=23)
     return w, [prog] * 4
 
 
 def _remote_clock():
     clock = ClockModel(npes=3, drift_rate=(0.0, 1e-5, -2e-5),
                        initial_offset=(0.0, 3e-6, -1e-6),
-                       timer_overhead=3e-8, jitter_seed=41)
+                       timer_overhead=3e-8)
 
     def prog(pe):
         if pe.rank:
@@ -182,7 +182,7 @@ def _remote_clock():
             seen.append((yield from pe.stamp_begin()))
         return seen
 
-    w = PgasWorld(3, JITTER, clock)
+    w = PgasWorld(3, JITTER, clock, jitter_seed=41)
     return w, [prog] * 3
 
 
@@ -202,7 +202,7 @@ def _deadlock():
             yield from pe.advance(1e-6)
             yield from pe.lock_set(0, home=3)
 
-    w = PgasWorld(4, JITTER, ClockModel.ideal(4, jitter_seed=3))
+    w = PgasWorld(4, JITTER, jitter_seed=3)
     return w, [prog] * 4
 
 
@@ -275,7 +275,7 @@ def _deadlock_in_flight():
         else:
             yield from pe.lock_clear(32, home=8)
 
-    w = PgasWorld(9, net, ClockModel.ideal(9, jitter_seed=13),
+    w = PgasWorld(9, net, jitter_seed=13,
                   heap_size=4096)
     return w, [prog] * 9
 
@@ -379,7 +379,7 @@ def test_completed_run_leaves_every_mailbox_empty(name):
 
 
 def test_acknowledged_broadcasts_leave_every_mailbox_empty():
-    world = PgasWorld(8, JITTER, ClockModel.ideal(8, jitter_seed=3))
+    world = PgasWorld(8, JITTER, jitter_seed=3)
     w = measure_bcast_sk(world, 64, M=2).world
     assert w._mail == [{}] * 8
 
@@ -434,7 +434,7 @@ def test_jitter_draws_follow_random_uniform(hw):
     order."""
     seed, n = 1234, 10_000
     net = NetworkModel(L=1e-6, jitter_half_width=hw)
-    w = PgasWorld(1, net, ClockModel.ideal(1, jitter_seed=seed))
+    w = PgasWorld(1, net, jitter_seed=seed)
     arrivals = []
     for _ in range(n):
         w._inject(0, 0.0, 0, None)

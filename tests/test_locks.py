@@ -78,11 +78,9 @@ class TestLockBasics:
 
 class TestLockContention:
     def _contended_trace(self, npes, rounds=3, jitter=0.0, seed=0):
-        from shmembench import ClockModel
         net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6,
                            jitter_half_width=jitter)
-        world = PgasWorld(npes, net,
-                          clock=ClockModel.ideal(npes, jitter_seed=seed))
+        world = PgasWorld(npes, net, jitter_seed=seed)
 
         def prog(pe):
             for _ in range(rounds):

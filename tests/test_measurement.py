@@ -1,6 +1,6 @@
 """The contract every measurement function shares: argument checks before
-any simulation, one `Measurement` record, one place that copies a template
-world, one timed loop and one clamp."""
+any run, one `Measurement` record, no copy of the world it is given, one
+timed loop and one clamp."""
 
 import ast
 from pathlib import Path
@@ -13,7 +13,8 @@ from shmembench import (ClockModel, LockScenario, Measurement, NetworkModel,
                         TimingStrategy, estimate_offsets,
                         measure_barrier_time, measure_bcast_barrier,
                         measure_bcast_naive, measure_bcast_rounds,
-                        measure_bcast_sync, measure_blocking, measure_lock,
+                        measure_bcast_sk, measure_bcast_sync,
+                        measure_blocking, measure_lock,
                         measure_nonblocking, measure_quiet, timed_loop)
 from shmembench.pgas import BARRIER_REDUCE_BCAST, BCAST_LINEAR
 
@@ -47,19 +48,39 @@ WITH_PROBE_REPS = {
 }
 
 
-def _template_that_never_copies(monkeypatch):
-    def no_world(self, jitter_seed=None):
-        raise AssertionError("a world was built before the argument check")
+# lock scenarios that a 2-PE world cannot run: (scenario, error)
+BAD_LOCK_SCENARIOS = {
+    "requester_not_a_pe": (LockScenario("test_free", requester_pe=5),
+                           "requester_pe = 5 is not a PE of npes = 2"),
+    "negative_requester": (LockScenario("uncontended_set_clear",
+                                        requester_pe=-1),
+                           "requester_pe = -1 is not a PE of npes = 2"),
+    "home_not_a_pe": (LockScenario("contended_set", home_pe=2),
+                      "home_pe = 2 is not a PE of npes = 2"),
+    "holder_not_a_pe": (LockScenario("contended_set", holders=[0, 3]),
+                        "holders = 3 is not a PE of npes = 2"),
+    "requester_holds": (LockScenario("test_held", home_pe=1),
+                        "lock_test_held needs home_pe != requester_pe, "
+                        "got 1 for both"),
+    "requester_is_holder": (LockScenario("test_held", holders=[1]),
+                            "lock_test_held needs holders[0] != "
+                            "requester_pe, got 1 for both"),
+}
+
+
+def _world_that_never_runs(monkeypatch):
+    def no_run(self, programs):
+        raise AssertionError("a world ran before the argument check")
 
     world = PgasWorld(2, NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6))
-    monkeypatch.setattr(PgasWorld, "fresh", no_world)
+    monkeypatch.setattr(PgasWorld, "run", no_run)
     return world
 
 
 @pytest.mark.parametrize("iters", [0, -1])
 @pytest.mark.parametrize("name", sorted(WITH_ITERS))
 def test_iters_below_one_rejected_before_any_world(monkeypatch, name, iters):
-    world = _template_that_never_copies(monkeypatch)
+    world = _world_that_never_runs(monkeypatch)
     with pytest.raises(ValueError, match=r"^iters must be >= 1$"):
         WITH_ITERS[name](world, iters)
 
@@ -68,10 +89,27 @@ def test_iters_below_one_rejected_before_any_world(monkeypatch, name, iters):
 @pytest.mark.parametrize("name", sorted(WITH_PROBE_REPS))
 def test_probe_reps_below_one_rejected_before_any_world(monkeypatch, name,
                                                         reps):
-    world = _template_that_never_copies(monkeypatch)
+    world = _world_that_never_runs(monkeypatch)
     argument, call = WITH_PROBE_REPS[name]
     with pytest.raises(ValueError, match=rf"^{argument} must be >= 1$"):
         call(world, reps)
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_bcast_sk_M_below_one_rejected_before_any_run(monkeypatch, M):
+    world = _world_that_never_runs(monkeypatch)
+    with pytest.raises(ValueError, match=r"^M must be >= 1$"):
+        measure_bcast_sk(world, 8, M=M)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOCK_SCENARIOS))
+def test_bad_lock_scenario_rejected_before_any_run(monkeypatch, case):
+    world = _world_that_never_runs(monkeypatch)
+    scenario, error = BAD_LOCK_SCENARIOS[case]
+    assert scenario.check(world.npes) == error
+    with pytest.raises(ValueError) as raised:
+        measure_lock(world, scenario, 4)
+    assert str(raised.value) == error
 
 
 def _modules():
@@ -94,13 +132,15 @@ class _FreshCallers(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_only_run_fresh_copies_a_template_world():
+def test_no_src_function_copies_a_world():
+    """Measurement functions run the world they are given; `fresh` is left
+    to callers that want a copy."""
     callers = []
     for name, tree in _modules():
         visitor = _FreshCallers()
         visitor.visit(tree)
         callers += [(name, caller) for caller in visitor.callers]
-    assert callers == [("pgas.py", "run_fresh")]
+    assert callers == []
 
 
 def _is_dataclass(node):

@@ -49,7 +49,7 @@ def test_q0_defaults_to_twice_send_overhead():
 
 class TestClockModel:
     def test_identity_clock(self):
-        c = ClockModel.ideal(2)
+        c = ClockModel(2)
         assert c.local_time(0, 5.0) == 5.0
 
     def test_drift_affine_map(self):
@@ -61,7 +61,7 @@ class TestClockModel:
         assert c.local_time(2, 0.0) == pytest.approx(3e-4)
 
     def test_unknown_pe_rejected(self):
-        c = ClockModel.ideal(2)
+        c = ClockModel(2)
         with pytest.raises(ValueError):
             c.local_time(2, 0.0)
 

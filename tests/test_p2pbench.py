@@ -110,11 +110,11 @@ class TestOverlap:
 
     @pytest.mark.parametrize("kind", ["put", "get"])
     def test_pilot_is_the_full_measurement_on_a_jittered_wire(self, kind):
-        # every run of one template replays the same jitter stream, so a
+        # every run of one world replays the same jitter stream, so a
         # repeated pilot would only repeat this value
         net = NetworkModel(o_s=O_S, o_r=O_R, L=L_WIRE, G=G,
                            jitter_half_width=2e-7)
-        w = PgasWorld(2, net, ClockModel(2, jitter_seed=7))
+        w = PgasWorld(2, net, jitter_seed=7)
         over = measure_nonblocking(w, kind, "overlap", 4096, iters=8)
         full = measure_nonblocking(w, kind, "full", 4096, iters=8)
         assert over.components["full"] == full.result

@@ -7,15 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from shmembench import (ClockModel, DeadlockError, HeapFault, NetworkModel,
-                        PgasWorld, ProgressMode, PutReturnPolicy, run_fresh)
+from shmembench import (DeadlockError, HeapFault, NetworkModel, PgasWorld,
+                        ProgressMode, PutReturnPolicy, run_fresh)
 from shmembench import pgas
 from shmembench.pgas import DEFAULT_HEAP_SIZE, PER_PE_HEAP_MIN, idle
 from shmembench import trace as _tr
 from shmembench.trace import (ACK_INC, LOCAL_COMPLETE, POST, QUIET_DONE,
                               REMOTE_DELIVERED)
 
-from helpers import lent_and_copied
+from helpers import lent_and_copied, run_outcome
 
 NET = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, G=1e-9)
 LEG = NET.o_s + NET.L + NET.o_r  # zero-payload one-way cost
@@ -273,20 +273,24 @@ class TestAtomicsAndWait:
 
 
 class TestDeterminism:
-    def _trace_text(self, seed):
+    @staticmethod
+    def _world(seed):
         net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, G=1e-9,
                            jitter_half_width=2e-7)
-        world = PgasWorld(4, net, ClockModel.ideal(4, jitter_seed=seed))
+        return PgasWorld(4, net, jitter_seed=seed)
 
-        def prog(pe):
-            yield from pe.barrier()
-            if pe.rank == 0:
-                yield from pe.put(1, 0, 64)
-                yield from pe.fetch_inc(2, 0)
-            yield from pe.broadcast(0, 128, 32)
-            yield from pe.barrier()
+    @staticmethod
+    def _prog(pe):
+        yield from pe.barrier()
+        if pe.rank == 0:
+            yield from pe.put(1, 0, 64)
+            yield from pe.fetch_inc(2, 0)
+        yield from pe.broadcast(0, 128, 32)
+        yield from pe.barrier()
+        return pe.load_int(0)
 
-        return world.run([prog] * 4).export_text()
+    def _trace_text(self, seed):
+        return self._world(seed).run([self._prog] * 4).export_text()
 
     def test_same_seed_identical_traces(self):
         assert self._trace_text(7) == self._trace_text(7)
@@ -299,16 +303,25 @@ class TestDeterminism:
         trace = world.run([lambda pe: iter(())] * 3)
         assert trace.entries == []
 
-    def test_world_runs_once(self):
-        world = PgasWorld(1, NET)
-        world.run([lambda pe: iter(())])
-        with pytest.raises(Exception):
-            world.run([lambda pe: iter(())])
+    def test_world_runs_again_from_scratch(self):
+        """Run again, a world gives the same outcome, its jitter drawn from
+        its seed again; a later run leaves an earlier run's trace, return
+        values and heaps as that run left them."""
+        world = self._world(7)
+        first = run_outcome(world, [self._prog] * 4)
+        text, returned, _, _, heaps = first
+        assert returned == [0, 0, 1, 0] and set(heaps) == {0, 1, 2, 3}
+        assert run_outcome(world, [self._prog] * 4) == first
+        trace = world.trace
+        kept = (text, list(returned), {p: bytes(h) for p, h in heaps.items()})
+        world.run([idle] * 4)
+        assert not world.trace.entries and world.returned == [None] * 4
+        assert (trace.export_text(), returned, heaps) == kept
 
 
 class TestRunFresh:
-    """`run_fresh` runs one program on a copy of a template world and keeps
-    what each PE program returned."""
+    """`run_fresh` runs one program on the world it is given, from its
+    initial state, and keeps what each PE program returned."""
 
     @staticmethod
     def _rank_after_a_put(pe):
@@ -320,16 +333,14 @@ class TestRunFresh:
         world.run([self._rank_after_a_put, idle, self._rank_after_a_put])
         assert world.returned == [0, None, 20]
 
-    def test_template_stays_unrun_and_other_ranks_idle(self):
-        template = PgasWorld(3, NET)
-        w = run_fresh(template, self._rank_after_a_put, ranks=(1,))
-        assert w is not template and w.npes == 3
-        assert w.returned == [None, 10, None]
-        assert {e.pe for e in w.trace.entries} == {1}  # only PE 1 put
-        assert template.returned == [None] * 3 and not template.trace.entries
-        template.run([idle] * 3)  # still runnable: the run used a copy
-        assert run_fresh(template, self._rank_after_a_put).returned == [
+    def test_runs_the_world_it_is_given_and_other_ranks_idle(self):
+        world = PgasWorld(3, NET)
+        assert run_fresh(world, self._rank_after_a_put, ranks=(1,)) is world
+        assert world.returned == [None, 10, None]
+        assert {e.pe for e in world.trace.entries} == {1}  # only PE 1 put
+        assert run_fresh(world, self._rank_after_a_put).returned == [
             0, 10, 20]
+        assert {e.pe for e in world.trace.entries} == {0, 1, 2}
 
     def test_deadlock_still_raises(self):
         def prog(pe):
@@ -378,17 +389,19 @@ class TestHeapOnFirstAccess:
         assert world.heap_size == copy.heap_size == DEFAULT_HEAP_SIZE
         assert peak < self.SMALL
 
-    def test_run_fresh_leaves_the_template_unallocated(self):
-        def build_and_run():
-            template = PgasWorld(4, NET)
-            run = run_fresh(template, self._write)
-            assert run.heap[1][64:70] == b"local!"
-            return template
+    def test_a_run_starts_from_unallocated_heaps(self):
+        def barrier(pe):
+            yield from pe.barrier()
 
-        template, held, peak = _traced(build_and_run)
-        assert peak >= 4 * DEFAULT_HEAP_SIZE  # the run's own heap
-        assert held < self.SMALL
-        assert run_fresh(template, self._write).heap[2][64:70] == b"local!"
+        def run_twice():
+            world = run_fresh(PgasWorld(4, NET), self._write)
+            assert world.heap[1][64:70] == b"local!"
+            return run_fresh(world, barrier)
+
+        world, held, peak = _traced(run_twice)
+        assert peak >= 4 * DEFAULT_HEAP_SIZE  # the first run's own heap
+        assert held < self.SMALL and not world.heap  # the second holds none
+        assert run_fresh(world, self._write).heap[2][64:70] == b"local!"
 
     def test_barrier_only_run_allocates_no_heap(self):
         def prog(pe):

@@ -1,22 +1,25 @@
 """Trace invariants over random P2P, broadcast and lock measurements.
 
-Every world a measurement runs is captured, and its ground-truth trace must
+Every run a measurement makes is captured, and its ground-truth trace must
 keep simulated time monotone, deliver each posted op exactly once, and
 nest each PE's broadcast and barrier instances in call order; every
 collective message must be claimed, so each run ends with every mailbox
 empty, and every `wait_until` woken, so no PE is left with a cell wait.
+Each captured run, run again on its world, must give the same outcome and
+leave the earlier run's trace, return values and heaps as it found them.
 Each example either lends every non-empty payload or copies every one, and
 runs either barrier algorithm at any P from 2 to 9, so dissemination
 rounds at a P that is not a power of two are drawn too.
 """
 
+import copy
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shmembench import (BARRIER_DISSEMINATION, BARRIER_REDUCE_BCAST,
-                        ClockModel, LockScenario, NetworkModel, PgasWorld,
+                        LockScenario, NetworkModel, PgasWorld,
                         ProgressMode, PutReturnPolicy, measure_bcast_barrier,
                         measure_bcast_naive, measure_bcast_rounds,
                         measure_bcast_sk, measure_bcast_sync,
@@ -26,7 +29,7 @@ from shmembench import pgas
 from shmembench.trace import (BARRIER_ENTER, BARRIER_EXIT, BCAST_ENTER,
                               BCAST_EXIT, POST, REMOTE_DELIVERED)
 
-from helpers import LEND_NONE
+from helpers import LEND_NONE, run_outcome
 
 ITERS = 3
 
@@ -53,15 +56,20 @@ MEASUREMENTS = {
 
 
 def _captured_runs(monkeypatch_ctx):
-    worlds = []
+    """A list that gets, for each run, a shallow copy of its world after
+    it, which keeps that run's state (the next run rebinds all of it), and
+    the run's programs."""
+    runs = []
     run = PgasWorld.run
 
     def capture(self, programs):
-        worlds.append(self)
-        return run(self, programs)
+        programs = list(programs)
+        trace = run(self, programs)
+        runs.append((copy.copy(self), programs))
+        return trace
 
     monkeypatch_ctx.setattr(PgasWorld, "run", capture)
-    return worlds
+    return runs
 
 
 MEASURED_WORLDS = dict(
@@ -77,21 +85,25 @@ MEASURED_WORLDS = dict(
     lend_min=st.sampled_from([1, LEND_NONE]))
 
 
-def _measured_worlds(kind, npes, barrier_algo, nbytes, seed, jitter,
-                     progress, put_return, lend_min):
-    """Every world one measurement of `kind` runs, with `LEND_MIN` set to
-    `lend_min`."""
+def _measured_runs(kind, npes, barrier_algo, nbytes, seed, jitter,
+                   progress, put_return, lend_min):
+    """Every run one measurement of `kind` makes, with `LEND_MIN` set to
+    `lend_min`, as (world after the run, programs)."""
     net = NetworkModel(o_s=1e-7, o_r=1e-7, L=1e-6, g=1e-7, G=1e-9,
                        jitter_half_width=jitter, progress_mode=progress,
                        put_return_policy=put_return)
-    world = PgasWorld(npes, net, ClockModel.ideal(npes, jitter_seed=seed),
+    world = PgasWorld(npes, net, jitter_seed=seed,
                       barrier_algo=barrier_algo)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pgas, "LEND_MIN", lend_min)
-        worlds = _captured_runs(mp)
+        runs = _captured_runs(mp)
         MEASUREMENTS[kind](world, nbytes)
-    assert worlds
-    return worlds
+    assert runs
+    return runs
+
+
+def _measured_worlds(**params):
+    return [world for world, _ in _measured_runs(**params)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,3 +153,21 @@ def test_every_run_leaves_every_mailbox_empty(**params):
     for w in _measured_worlds(**params):
         assert w._mail == [{} for _ in range(w.npes)]
         assert w._cell_wait == [None] * w.npes
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MEASURED_WORLDS)
+def test_every_run_runs_again_from_scratch(**params):
+    """Run again on its world, each run gives the outcome it gave inside
+    the measurement; a later run, of idle programs, leaves that rerun's
+    trace, return values and heaps as they were."""
+    for w, programs in _measured_runs(**params):
+        measured = (w.trace.export_text(), list(w.returned), w.now, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pgas, "LEND_MIN", params["lend_min"])
+            text, returned, now, end, heaps = run_outcome(w, programs)
+        assert (text, returned, now, end) == measured
+        trace = w.trace
+        kept = (text, list(returned), {p: bytes(h) for p, h in heaps.items()})
+        w.run([pgas.idle] * w.npes)
+        assert (trace.export_text(), returned, heaps) == kept
